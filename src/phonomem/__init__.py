@@ -45,9 +45,11 @@ from .model import (
     boundary_energy,
     energy_profile,
     eval_count,
+    log_chain_probability,
     mean_interaction,
     next_sound_distribution,
     next_sound_energies,
+    ranked_next_sounds,
     reset_eval_count,
     sequence_probability,
     word_energy,
@@ -88,6 +90,7 @@ __all__ = [
     "load_corpus",
     "load_embedded",
     "load_model",
+    "log_chain_probability",
     "mean_interaction",
     "next_ranked",
     "next_sound_distribution",
@@ -95,6 +98,7 @@ __all__ = [
     "normalize",
     "parse_corpus",
     "predict_completions",
+    "ranked_next_sounds",
     "reset_eval_count",
     "save_model",
     "segment",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -21,17 +21,10 @@ from .generator import (
     GibberishPolicy,
     enumerate_branch_space,
     gibberish,
-    next_ranked,
     predict_completions,
     segment,
 )
-from .model import (
-    boundary_energy,
-    energy_profile,
-    mean_interaction,
-    next_sound_energies,
-    word_energy,
-)
+from .model import energy_profile, mean_interaction, ranked_next_sounds, word_energy
 from .storage import load_model, save_model
 from .trainer import NORMALIZE_MODES, TrainConfig, train, verify_decay
 
@@ -49,13 +42,14 @@ def _corpus_arg(spec: str) -> Corpus:
     return load_corpus(spec)
 
 
-def _meta_lexicon(model) -> Corpus:
-    words = model.meta.get("corpus", {}).get("words", [])
-    return Corpus(
-        model.alphabet,
-        tuple(tokenize(w, model.alphabet) for w in words),
-        source="model-meta",
-    )
+def _lexicon(model, spec) -> Corpus:
+    """The words of corpus `spec` (default: the model's training words),
+    tokenized under the model's alphabet; an unknown sound is a data error."""
+    if spec:
+        words = _corpus_arg(spec).surface_words()
+    else:
+        words = model.meta.get("corpus", {}).get("words", [])
+    return Corpus(model.alphabet, tuple(tokenize(w, model.alphabet) for w in words))
 
 
 def _fmt(x: float) -> str:
@@ -122,21 +116,10 @@ def cmd_energy(args) -> int:
 def cmd_generate(args) -> int:
     model = load_model(args.model)
     prefix = tokenize(args.prefix, model.alphabet)
-    if args.stop_tau is not None:
-        rng = random.Random(args.seed)
-        word = prefix
-        for _ in range(args.max_steps):
-            rank = 1 if (rng.random() < args.p_next and model.d > 1) else 0
-            s = next_ranked(model, word, rank)
-            if boundary_energy(model, word, (s,)) - word_energy(model, word) > args.stop_tau:
-                break
-            word = word + (s,)
-        gaps = energy_profile(model, word)
-    else:
-        policy = GibberishPolicy(
-            max_length=len(prefix) + args.steps, p_next=args.p_next, seed=args.seed
-        )
-        word, gaps = gibberish(model, prefix, policy)
+    steps = args.steps if args.stop_tau is None else args.max_steps
+    tau = math.inf if args.stop_tau is None else args.stop_tau
+    policy = GibberishPolicy(len(prefix) + steps, args.p_next, args.seed, stop_tau=tau)
+    word, gaps = gibberish(model, prefix, policy)
     print(detokenize(word, model.alphabet))
     print(f"energy={_fmt(word_energy(model, word))}")
     print("profile: " + " ".join(_fmt(v) for v in gaps))
@@ -147,7 +130,7 @@ def cmd_branch(args) -> int:
     model = load_model(args.model)
     prefix = tokenize(args.prefix, model.alphabet)
     space = enumerate_branch_space(model, prefix, args.right, args.down)
-    lexicon = _corpus_arg(args.corpus) if args.corpus else _meta_lexicon(model)
+    lexicon = _lexicon(model, args.corpus)
     if args.format == "dot":
         text = branch_to_dot(space, model.alphabet, lexicon.words)
     else:
@@ -173,7 +156,7 @@ def cmd_segment(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     prefix = tokenize(args.prefix, model.alphabet)
-    lexicon = _corpus_arg(args.lexicon) if args.lexicon else _meta_lexicon(model)
+    lexicon = _lexicon(model, args.lexicon)
     ranked = predict_completions(model, prefix, lexicon, beta=args.beta)
     if args.limit is not None:
         ranked = ranked[: args.limit]
@@ -188,27 +171,23 @@ def cmd_explore(args) -> int:
     while True:
         print(f"word: {detokenize(word, model.alphabet) or '(empty)'}  "
               f"energy={_fmt(word_energy(model, word))}")
-        energies = next_sound_energies(model, word)
-        ranked = sorted((float(energies[s]), s) for s in range(model.d))
-        for rank, (energy, s) in enumerate(ranked):
-            print(f"  {rank}) {model.alphabet.symbols[s]}  {_fmt(energy)}")
+        energies, order = ranked_next_sounds(model, word)
+        for rank, s in enumerate(order):
+            print(f"  {rank}) {model.alphabet.symbols[s]}  {_fmt(energies[s])}")
         try:
             line = input("rank> ").strip()
         except EOFError:
             break
         if line in ("q", "quit"):
             break
-        choice = 0
-        if line:
-            try:
-                choice = int(line)
-            except ValueError:
-                print(f"enter a rank 0..{model.d - 1}, blank for 0, or q to quit")
-                continue
+        try:
+            choice = int(line or 0)
+        except ValueError:
+            choice = -1
         if not 0 <= choice < model.d:
             print(f"enter a rank 0..{model.d - 1}, blank for 0, or q to quit")
             continue
-        word = word + (ranked[choice][1],)
+        word = word + (order[choice],)
     print(detokenize(word, model.alphabet))
     return 0
 
@@ -295,12 +274,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PhonomemError as exc:
+    except (PhonomemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except ValueError as exc:
+        # A library argument check (negative threshold, bad beta, ...).
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 def entry() -> None:

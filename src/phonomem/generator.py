@@ -9,6 +9,7 @@ listener holding a partial word.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterator, Optional, Sequence
@@ -17,23 +18,16 @@ from .alphabet import Corpus, Word
 from .errors import SectorExhaustedError
 from .model import (
     InteractionModel,
+    _check_beta,
     energy_profile,
-    next_sound_energies,
-    sequence_probability,
+    log_chain_probability,
+    ranked_next_sounds,
     word_energy,
 )
 
 # Exact sound sequences excluded from growth; the infinite-penalty limit of
 # penalizing already-found words.
 PenaltySet = AbstractSet[Word]
-
-
-def _ranked_candidates(
-    m: InteractionModel, prefix: Word, base: Optional[float] = None
-) -> list[tuple[float, int]]:
-    # (energy, symbol index) sorted ascending; index breaks exact ties.
-    energies = next_sound_energies(m, prefix, base=base)
-    return sorted((float(energies[s]), s) for s in range(m.d))
 
 
 def grow_greedy(
@@ -50,17 +44,15 @@ def grow_greedy(
     w = tuple(prefix)
     base = word_energy(m, w)
     for _ in range(steps):
-        for energy, s in _ranked_candidates(m, w, base=base):
-            candidate = w + (s,)
-            if candidate not in penalties:
-                w = candidate
-                base = energy
-                break
-        else:
+        energies, order = ranked_next_sounds(m, w, base=base)
+        s = next((s for s in order if w + (s,) not in penalties), None)
+        if s is None:
             raise SectorExhaustedError(
                 f"sector exhausted: all {m.d} continuations of a "
                 f"{len(w)}-sound prefix are excluded"
             )
+        w += (s,)
+        base = float(energies[s])
     return w
 
 
@@ -69,7 +61,7 @@ def next_ranked(m: InteractionModel, prefix: Sequence[int], rank: int) -> int:
     prefix; rank 0 is the greedy choice. Equal energies order by symbol index."""
     if not 0 <= rank < m.d:
         raise ValueError(f"rank {rank} outside 0..{m.d - 1}")
-    return _ranked_candidates(m, tuple(prefix))[rank][1]
+    return ranked_next_sounds(m, prefix)[1][rank]
 
 
 @dataclass(eq=False)
@@ -138,12 +130,9 @@ class BranchSpace:
         for col in range(1, self.max_depth_right + 1):
             grown: list[tuple[BranchNode, int]] = []
             for node, budget in frontier:
-                ranked = _ranked_candidates(m, node.word, base=node.energy)
-                for rank in range(min(m.d, budget + 1)):
-                    energy, s = ranked[rank]
-                    child = BranchNode(
-                        node.word + (s,), energy, col=col, depth_down=rank, parent=node
-                    )
+                energies, order = ranked_next_sounds(m, node.word, base=node.energy)
+                for rank, s in enumerate(order[: budget + 1]):
+                    child = BranchNode(node.word + (s,), float(energies[s]), col, rank, node)
                     node.children_right.append(child)
                     grown.append((child, budget - rank))
             if not grown:
@@ -160,18 +149,14 @@ class BranchSpace:
         if w[: len(p)] != p or not 0 <= len(w) - len(p) <= self.max_depth_right:
             return None
         budget = self.max_depth_down - 1
-        current = p
         base = word_energy(self.model, p)
         last_rank = 0
-        for s in w[len(p) :]:
-            ranked = _ranked_candidates(self.model, current, base=base)
-            last_rank, base = next(
-                (k, e) for k, (e, cand) in enumerate(ranked) if cand == s
-            )
+        for k in range(len(p), len(w)):
+            energies, order = ranked_next_sounds(self.model, w[:k], base=base)
+            last_rank, base = order.index(w[k]), float(energies[w[k]])
             budget -= last_rank
             if budget < 0:
                 return None
-            current += (s,)
         return BranchNode(w, base, col=len(w) - len(p), depth_down=last_rank)
 
     def __contains__(self, word: Sequence[int]) -> bool:
@@ -192,35 +177,43 @@ def enumerate_branch_space(
 @dataclass(frozen=True)
 class GibberishPolicy:
     """Randomized growth policy: take the next-to-lowest sound with
-    probability p_next (default one in five), otherwise the lowest. The
-    seeded generator fully determines the output."""
+    probability p_next (default one in five), otherwise the lowest. Growth
+    stops early before a sound that would add more than stop_tau energy
+    (default: never). The seeded generator fully determines the output."""
 
     max_length: int
     p_next: float = 0.2
     seed: int = 0
+    stop_tau: float = math.inf
 
     def __post_init__(self) -> None:
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
         if not 0.0 <= self.p_next <= 1.0:
             raise ValueError("p_next must be in [0, 1]")
+        if math.isnan(self.stop_tau):
+            raise ValueError("stop_tau must not be NaN")
 
 
 def gibberish(
     m: InteractionModel, prefix: Sequence[int], policy: GibberishPolicy
 ) -> tuple[Word, list[float]]:
-    """Grow the prefix to policy.max_length sounds under the policy's die and
-    return the word with its per-gap energy profile. p_next=0 reproduces
-    grow_greedy exactly; a fixed seed gives byte-identical output across
-    runs and platforms."""
+    """Grow the prefix to policy.max_length sounds under the policy's die, or
+    until the chosen sound would add more than policy.stop_tau energy, and
+    return the word with its per-gap energy profile. p_next=0 with no stop
+    reproduces grow_greedy exactly; a fixed seed gives byte-identical
+    output across runs and platforms."""
     rng = random.Random(policy.seed)
     w = tuple(prefix)
     base = word_energy(m, w)
     while len(w) < policy.max_length:
         rank = 1 if (rng.random() < policy.p_next and m.d > 1) else 0
-        ranked = _ranked_candidates(m, w, base=base)
-        base, s = ranked[rank]
+        energies, order = ranked_next_sounds(m, w, base=base)
+        s = order[rank]
+        if energies[s] - base > policy.stop_tau:
+            break
         w += (s,)
+        base = float(energies[s])
     return w, energy_profile(m, w)
 
 
@@ -264,14 +257,17 @@ def predict_completions(
     beta: float = 1.0,
 ) -> list[tuple[Word, float]]:
     """Rank every lexicon word that starts with the prefix by the chain
-    probability of its continuation, descending; ties order by word. A
-    prefix matching nothing yields an empty list."""
+    probability of its continuation, descending; ties order by word. Ranking
+    uses log-probabilities, so probabilities that underflow to 0.0 still
+    order correctly. A prefix matching nothing yields an empty list."""
+    _check_beta(beta)
     if lexicon.alphabet.symbols != m.alphabet.symbols:
         raise ValueError("lexicon alphabet does not match the model alphabet")
     p = tuple(prefix)
-    scored = []
-    for w in lexicon.words:
-        if len(w) >= len(p) and w[: len(p)] == p:
-            scored.append((w, sequence_probability(m, p, w[len(p) :], beta)))
+    scored = [
+        (w, log_chain_probability(m, p, w[len(p) :], beta))
+        for w in lexicon.words
+        if w[: len(p)] == p
+    ]
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    return [(w, math.exp(logp)) for w, logp in scored]

@@ -9,6 +9,7 @@ construction. Lower energy means more probable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -118,31 +119,39 @@ def energy_profile(m: InteractionModel, w: Sequence[int]) -> list[float]:
     return gaps
 
 
-def cross_energies(m: InteractionModel, prefix: Sequence[int]) -> np.ndarray:
-    """Energy added by appending each candidate sound: the pair terms coupling
-    it to the last r_max sounds of the prefix (zeros for an empty prefix)."""
-    out = np.zeros(m.d, dtype=np.float64)
-    g = m.g
-    for r in range(1, min(m.r_max, len(prefix)) + 1):
-        out += m.g0 - g[r - 1][prefix[-r]]
-    return out
-
-
 def next_sound_energies(
     m: InteractionModel, prefix: Sequence[int], base: Optional[float] = None
 ) -> np.ndarray:
     """Boundary energy of prefix + s for each of the d candidate sounds s,
-    computed as the prefix energy plus the candidate's cross terms (equal to
-    the concatenated word energy up to float summation order).
+    computed as the prefix energy plus the candidate's cross terms: the pair
+    terms coupling s to the last r_max sounds of the prefix (equal to the
+    concatenated word energy up to float summation order).
 
     Counts d evaluations toward eval_count(). Growth loops pass `base` (the
-    running prefix energy) to avoid re-deriving it every step.
+    running prefix energy) to avoid re-deriving it every step; base=0 gives
+    the cross terms alone.
     """
     global _EVALS
     _EVALS += m.d
-    if base is None:
-        base = word_energy(m, prefix)
-    return base + cross_energies(m, prefix)
+    cross = np.zeros(m.d, dtype=np.float64)
+    for r in range(1, min(m.r_max, len(prefix)) + 1):
+        cross += m.g0 - m.g[r - 1][prefix[-r]]
+    return (word_energy(m, prefix) if base is None else base) + cross
+
+
+def ranked_next_sounds(
+    m: InteractionModel, prefix: Sequence[int], base: Optional[float] = None
+) -> tuple[np.ndarray, list[int]]:
+    """Candidate energies (as next_sound_energies) and the candidate sounds
+    ordered by ascending energy, equal energies by symbol index. Every
+    generator ranks its candidates through this one call."""
+    energies = next_sound_energies(m, prefix, base=base)
+    return energies, np.argsort(energies, kind="stable").tolist()
+
+
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +169,30 @@ def next_sound_distribution(
 ) -> NextSoundDistribution:
     """Softmax of -beta * candidate energies, computed with max-subtraction
     so large beta saturates instead of overflowing. beta=0 is uniform."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    _check_beta(beta)
     energies = next_sound_energies(m, prefix)
     weights = np.exp(-beta * (energies - energies.min()))
     return NextSoundDistribution(energies, weights / weights.sum(), float(beta))
+
+
+def log_chain_probability(
+    m: InteractionModel,
+    prefix: Sequence[int],
+    continuation: Sequence[int],
+    beta: float = 1.0,
+) -> float:
+    """Log of sequence_probability, summed as one max-shifted log-softmax term
+    per appended sound. The prefix energy shifts every candidate equally and
+    cancels, so only the cross terms are scored (O(N) per word)."""
+    _check_beta(beta)
+    p = tuple(prefix)
+    total = 0.0
+    for s in continuation:
+        scaled = -beta * next_sound_energies(m, p, base=0.0)
+        top = scaled.max()
+        total += float(scaled[s] - top - np.log(np.exp(scaled - top).sum()))
+        p += (s,)
+    return total
 
 
 def sequence_probability(
@@ -175,12 +203,7 @@ def sequence_probability(
 ) -> float:
     """Chain probability of the continuation given the prefix: the product of
     one conditional next-sound factor per appended sound (empty product = 1)."""
-    p = tuple(prefix)
-    prob = 1.0
-    for s in continuation:
-        prob *= float(next_sound_distribution(m, p, beta).probabilities[s])
-        p += (s,)
-    return prob
+    return math.exp(log_chain_probability(m, prefix, continuation, beta))
 
 
 def ablate(m: InteractionModel, ranges: Iterable[int]) -> InteractionModel:

@@ -54,8 +54,6 @@ def model_from_dict(payload: dict) -> InteractionModel:
             tensors,
             dict(payload.get("meta", {})),
         )
-    except ModelFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
 
@@ -68,6 +66,8 @@ def save_model(m: InteractionModel, path) -> None:
 def load_model(path) -> InteractionModel:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_dict(payload)

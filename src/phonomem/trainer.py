@@ -6,9 +6,10 @@ a constant, so plain flow has the closed form
 
     g(r) = g_init + eta * timesteps * counts(r)
 
-clamped at zero. The optional per-range-sum mode rescales each g(r) to a
-fixed total mass (d*d) after every step, which keeps entries comparable to
-g0 for inspection; entry orderings are unchanged in both modes.
+which stays nonnegative because eta > 0, g_init >= 0 and counts >= 0. The
+optional per-range-sum mode rescales each g(r) to a fixed total mass (d*d)
+after every step, which keeps entries comparable to g0 for inspection;
+entry orderings are unchanged in both modes.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ class TrainConfig:
     eta: float = 1e-4
     timesteps: int = 10_000
     g_init: float = 0.0
-    clamp: bool = True
     normalize: str = "none"
-    seed: int = 0  # reserved; plain flow is deterministic
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -86,16 +85,12 @@ def train(
     counts = count_pairs(corpus, r_max).counts.astype(np.float64)
     if cfg.normalize == "none":
         g = cfg.g_init + cfg.eta * cfg.timesteps * counts
-        if cfg.clamp:
-            np.maximum(g, 0.0, out=g)
     else:
         d = corpus.alphabet.d
         target = float(d * d)
         g = np.full_like(counts, cfg.g_init)
         for _ in range(cfg.timesteps):
             g += cfg.eta * counts
-            if cfg.clamp:
-                np.maximum(g, 0.0, out=g)
             for r in range(r_max):
                 mass = g[r].sum()
                 if mass > 0.0:

@@ -1,0 +1,55 @@
+"""Exit codes at the CLI edges: library argument errors are usage errors
+(exit 1), unreadable or foreign input is a data error (exit 2), and neither
+escapes as a traceback."""
+
+import pytest
+
+from phonomem.cli import main
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("edges")
+    model = base / "latin.json"
+    assert main(["train", "@latin", str(model)]) == 0
+    binary = base / "binary.json"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x80\x81")
+    return {"model": str(model), "binary": str(binary)}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["segment", "{model}", "servus", "--threshold", "-1"], 1),
+        (["predict", "{model}", "serv", "--beta", "-1"], 1),
+        (["predict", "{model}", "serv", "--beta", "nan"], 1),
+        (["predict", "{model}", "serv", "--beta", "inf"], 1),
+        (["branch", "{model}", "in", "--right", "0"], 1),
+        (["generate", "{model}", "serv", "--p-next", "2"], 1),
+        (["generate", "{model}", "", "--steps", "0"], 1),
+        (["generate", "{model}", "", "--stop-tau", "0", "--max-steps", "0"], 1),
+        (["generate", "{model}", "serv", "--stop-tau", "nan"], 1),
+        (["energy", "{binary}", "x"], 2),
+        (["predict", "{model}", "", "--lexicon", "@turkish"], 2),
+        (["branch", "{model}", "in", "--corpus", "@turkish"], 2),
+    ],
+)
+def test_edge_exit_codes(paths, capsys, argv, code):
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "{model}", "", "--lexicon", "@turkish"],
+        ["branch", "{model}", "in", "--corpus", "@turkish"],
+    ],
+)
+def test_foreign_lexicon_is_unknown_symbol(paths, capsys, argv):
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert "unknown symbol" in capsys.readouterr().err
