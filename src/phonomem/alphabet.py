@@ -15,7 +15,7 @@ import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CorpusError, UnknownSymbolError
 
@@ -41,25 +41,25 @@ def _check_well_formed(line: str, lineno: int) -> None:
             raise CorpusError(f"line {lineno}: malformed byte sequence")
 
 
-def _clusters(text: str, digraphs: Mapping[str, str]) -> list[str]:
-    """Split normalized text into symbols: digraph spellings win (longest
-    first), otherwise one base character plus trailing combining marks."""
-    keys = sorted(digraphs, key=len, reverse=True)
-    out: list[str] = []
+def _split(
+    text: str, spellings: Mapping[str, str], lengths: Sequence[int]
+) -> Iterator[tuple[int, str]]:
+    """Split normalized text into (offset, symbol) pairs: the longest key of
+    `spellings` wins (`lengths`: their distinct lengths, longest first),
+    otherwise one base character plus its trailing combining marks."""
     i = 0
     while i < len(text):
-        for key in keys:
-            if text.startswith(key, i):
-                out.append(digraphs[key])
-                i += len(key)
+        for n in lengths:
+            symbol = spellings.get(text[i : i + n])
+            if symbol is not None:
                 break
         else:
-            j = i + 1
-            while j < len(text) and unicodedata.combining(text[j]):
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+            n = 1
+            while i + n < len(text) and unicodedata.combining(text[i + n]):
+                n += 1
+            symbol = text[i : i + n]
+        yield i, symbol
+        i += n
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ class Alphabet:
                 raise ValueError(f"digraph {spelling!r} maps to unknown symbol {symbol!r}")
         spellings = dict(self.digraphs)
         spellings.update({s: s for s in self.symbols})
-        matchers = sorted(spellings.items(), key=lambda kv: len(kv[0]), reverse=True)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_matchers", tuple((sp, index[sym]) for sp, sym in matchers))
+        object.__setattr__(self, "_spellings", spellings)
+        object.__setattr__(self, "_lengths", sorted({len(k) for k in spellings}, reverse=True))
 
     @property
     def d(self) -> int:
@@ -101,13 +101,14 @@ def build_inventory(
     """Collect every distinct symbol over the input lines, in first-appearance
     order. Lines starting with '#' are comments; commas count as whitespace."""
     digraphs = dict(digraph_table or {})
+    lengths = sorted({len(k) for k in digraphs}, reverse=True)
     seen: dict[str, None] = {}
     tokens = 0
     for lineno, line in enumerate(lines, start=1):
         _check_well_formed(line, lineno)
         for token in _split_tokens(line):
             tokens += 1
-            for symbol in _clusters(normalize(token), digraphs):
+            for _, symbol in _split(normalize(token), digraphs, lengths):
                 seen.setdefault(symbol)
     if tokens == 0:
         raise CorpusError("empty corpus")
@@ -119,26 +120,24 @@ def tokenize(text: str, alphabet: Alphabet) -> Word:
     at each position."""
     s = normalize(text)
     out: list[int] = []
-    i = 0
-    while i < len(s):
-        for spelling, idx in alphabet._matchers:
-            if s.startswith(spelling, i):
-                out.append(idx)
-                i += len(spelling)
-                break
-        else:
-            cluster = _clusters(s[i:], dict(alphabet.digraphs))[0]
-            raise UnknownSymbolError(cluster, len(s[:i].encode("utf-8")))
+    for offset, symbol in _split(s, alphabet._spellings, alphabet._lengths):
+        idx = alphabet._index.get(symbol)
+        if idx is None:
+            raise UnknownSymbolError(symbol, len(s[:offset].encode("utf-8")))
+        out.append(idx)
     return tuple(out)
+
+
+def _check_indices(word: Sequence[int], d: int) -> None:
+    for i in word:
+        if not 0 <= i < d:
+            raise ValueError(f"symbol index {i} out of range 0..{d - 1}")
 
 
 def detokenize(word: Sequence[int], alphabet: Alphabet) -> str:
     """Concatenate symbol spellings; inverse of tokenize on valid words."""
-    symbols = alphabet.symbols
-    for i in word:
-        if not 0 <= i < len(symbols):
-            raise ValueError(f"symbol index {i} out of range 0..{len(symbols) - 1}")
-    return "".join(symbols[i] for i in word)
+    _check_indices(word, alphabet.d)
+    return "".join(alphabet.symbols[i] for i in word)
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,14 @@ def cmd_energy(args) -> int:
     return 0
 
 
+def _nonnegative(flag: str, value) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be >= 0")
+
+
 def cmd_generate(args) -> int:
+    _nonnegative("--steps", args.steps)
+    _nonnegative("--max-steps", args.max_steps)
     model = load_model(args.model)
     prefix = tokenize(args.prefix, model.alphabet)
     steps = args.steps if args.stop_tau is None else args.max_steps
@@ -154,6 +161,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _nonnegative("--limit", args.limit)
     model = load_model(args.model)
     prefix = tokenize(args.prefix, model.alphabet)
     lexicon = _lexicon(model, args.lexicon)

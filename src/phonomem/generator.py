@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterator, Optional, Sequence
 
-from .alphabet import Corpus, Word
+from .alphabet import Corpus, Word, _check_indices
 from .errors import SectorExhaustedError
 from .model import (
     InteractionModel,
@@ -143,8 +143,10 @@ class BranchSpace:
 
     def find(self, word: Sequence[int]) -> Optional[BranchNode]:
         """The node holding this exact word, or None when it lies outside the
-        depth budgets. Returned nodes are detached (no parent/child links)."""
+        depth budgets. Returned nodes are detached (no parent/child links).
+        A symbol index outside 0..d-1 raises ValueError."""
         w = tuple(word)
+        _check_indices(w, self.model.d)
         p = self.prefix
         if w[: len(p)] != p or not 0 <= len(w) - len(p) <= self.max_depth_right:
             return None

@@ -8,12 +8,14 @@ human-diffable.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from .alphabet import Alphabet
-from .errors import ModelFormatError
+from .errors import CorpusError, ModelFormatError
 from .model import InteractionModel
 
 FORMAT_VERSION = 1
@@ -54,13 +56,26 @@ def model_from_dict(payload: dict) -> InteractionModel:
             tensors,
             dict(payload.get("meta", {})),
         )
+    except CorpusError as exc:  # the only CorpusError of Alphabet: no symbols
+        raise ModelFormatError("malformed model file: empty alphabet") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
 
 
 def save_model(m: InteractionModel, path) -> None:
-    text = json.dumps(model_to_dict(m), ensure_ascii=False, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write the model as JSON to a temporary file beside `path`, then move it
+    over `path`, so a failed write leaves any earlier file intact."""
+    path = Path(path)
+    text = json.dumps(model_to_dict(m), ensure_ascii=False, indent=1) + "\n"
+    # Named per process and thread rather than by mkstemp, whose 0600 mode
+    # would replace the usual umask-based mode of the model file.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path) -> InteractionModel:
@@ -70,4 +85,7 @@ def load_model(path) -> InteractionModel:
         raise ModelFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    try:
+        return model_from_dict(payload)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

@@ -9,7 +9,9 @@ a constant, so plain flow has the closed form
 which stays nonnegative because eta > 0, g_init >= 0 and counts >= 0. The
 optional per-range-sum mode rescales each g(r) to a fixed total mass (d*d)
 after every step, which keeps entries comparable to g0 for inspection;
-entry orderings are unchanged in both modes.
+entry orderings are unchanged in both modes. Both the step and the rescale
+keep the form g(r) = u*J + v*counts(r), with J the all-ones matrix, so that
+mode iterates the two scalars u, v per range and builds g(r) once.
 """
 
 from __future__ import annotations
@@ -86,15 +88,16 @@ def train(
     if cfg.normalize == "none":
         g = cfg.g_init + cfg.eta * cfg.timesteps * counts
     else:
-        d = corpus.alphabet.d
-        target = float(d * d)
-        g = np.full_like(counts, cfg.g_init)
-        for _ in range(cfg.timesteps):
-            g += cfg.eta * counts
-            for r in range(r_max):
-                mass = g[r].sum()
+        target = float(corpus.alphabet.d ** 2)
+        g = np.empty_like(counts)
+        for r in range(r_max):
+            u, v, total = cfg.g_init, 0.0, float(counts[r].sum())
+            for _ in range(cfg.timesteps):
+                v += cfg.eta
+                mass = u * target + v * total
                 if mass > 0.0:
-                    g[r] *= target / mass
+                    u, v = u * (target / mass), v * (target / mass)
+            g[r] = u + v * counts[r]
     meta = {
         "train": asdict(cfg),
         "corpus": {

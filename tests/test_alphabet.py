@@ -105,6 +105,28 @@ def test_digraph_remap_to_other_symbol():
     assert tokenize("shoe", al) == tokenize("ʃoe", al)
 
 
+def test_spelled_out_digraph_target_takes_longest_match():
+    table = {"tsh": "ch"}
+    al = build_inventory(["tsha", "ch"], digraph_table=table)
+    assert al.symbols == ("ch", "a", "c", "h")
+    assert tokenize("ch", al) == (0,)
+    assert tokenize("tsha", al) == (0, 1)
+    assert parse_corpus(["tsha ch"], digraph_table=table).words == ((0, 1), (0,))
+
+
+def test_tokenize_stray_combining_mark_after_known_base():
+    al = build_inventory(["qa"])
+    with pytest.raises(UnknownSymbolError) as err:
+        tokenize("aq\u0307a", al)
+    assert err.value.symbol == "\u0307"
+    assert err.value.byte_offset == 2
+    # a base without a precomposed form keeps its marks, known or not
+    assert build_inventory(["q\u0307a"]).symbols == ("q\u0307", "a")
+    with pytest.raises(UnknownSymbolError) as err:
+        tokenize("aq\u0307a", build_inventory(["a"]))
+    assert (err.value.symbol, err.value.byte_offset) == ("q\u0307", 1)
+
+
 def test_corpus_round_trip_both_corpora():
     for name in ("latin", "turkish"):
         corpus = load_embedded(name)

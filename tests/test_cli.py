@@ -1,5 +1,7 @@
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,41 @@ def test_model_version_mismatch(tmp_path, latin_model_path):
     with pytest.raises(ModelFormatError, match="version"):
         load_model(bad)
     assert main(["inspect", str(bad)]) == 2
+
+
+def test_model_empty_alphabet_names_file(tmp_path, latin_model_path, capsys):
+    payload = json.loads(open(latin_model_path, encoding="utf-8").read())
+    payload["alphabet"] = []
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="empty alphabet"):
+        load_model(bad)
+    assert main(["energy", str(bad), "x"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: malformed model file: empty alphabet\n"
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_save_model_failure_keeps_old_file(tmp_path, latin_model_path, monkeypatch, fail_at):
+    model = load_model(latin_model_path)
+    target = tmp_path / "m.json"
+    target.write_text("old\n", encoding="utf-8")
+
+    def half_write(self, text, encoding=None):
+        with open(self, "w", encoding=encoding) as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    def refuse(src, dst):
+        raise OSError(13, "Permission denied")
+
+    if fail_at == "write":
+        monkeypatch.setattr(Path, "write_text", half_write)
+    else:
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_model(model, target)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_energy_untrained_profile(flat_toy_model_path, capsys):

@@ -32,6 +32,9 @@ def paths(tmp_path_factory):
         (["energy", "{binary}", "x"], 2),
         (["predict", "{model}", "", "--lexicon", "@turkish"], 2),
         (["branch", "{model}", "in", "--corpus", "@turkish"], 2),
+        (["generate", "{model}", "serv", "--steps", "-3"], 1),
+        (["generate", "{model}", "serv", "--stop-tau", "0", "--max-steps", "-1"], 1),
+        (["predict", "{model}", "pāstō", "--limit", "-1"], 1),
     ],
 )
 def test_edge_exit_codes(paths, capsys, argv, code):

@@ -180,6 +180,13 @@ def test_branch_space_find_agrees_with_materialization(latin, latin_model):
     assert (prefix in fresh) and (too_long not in fresh)
 
 
+@pytest.mark.parametrize("word, bad", [((0, 99), 99), ((0, -1), -1)])
+def test_branch_space_find_rejects_out_of_range_index(latin_model, word, bad):
+    space = enumerate_branch_space(latin_model, (), 4, 4)
+    with pytest.raises(ValueError, match=rf"symbol index {bad} out of range 0\.\.17"):
+        space.find(word)
+
+
 def test_branch_space_contains_s_family(latin, latin_model):
     prefix = tokenize("s", latin.alphabet)
     space = enumerate_branch_space(latin_model, prefix, 12, 35)

@@ -119,6 +119,31 @@ def test_train_normalized_mode(latin):
         assert np.allclose(m.g[r], counts[r] * scale, rtol=1e-9)
 
 
+def _per_range_sum_loop(counts, d, cfg):
+    """Reference: the full-tensor step and per-range rescale, step by step."""
+    target = float(d * d)
+    g = np.full_like(counts, cfg.g_init)
+    for _ in range(cfg.timesteps):
+        g += cfg.eta * counts
+        for r in range(len(g)):
+            mass = g[r].sum()
+            if mass > 0.0:
+                g[r] *= target / mass
+    return g
+
+
+@pytest.mark.parametrize("lines", [None, ["ab ba ca ac"]], ids=["latin", "two-sound"])
+@pytest.mark.parametrize("eta, timesteps", [(1e-4, 10_000), (1e-3, 7), (0.5, 0), (2.0, 3)])
+@pytest.mark.parametrize("g_init", [0.0, 0.5])
+def test_per_range_sum_matches_tensor_loop(latin, lines, eta, timesteps, g_init):
+    # Two-sound words leave ranges 2 and 3 without pairs (the mass-0 guard).
+    corpus = latin if lines is None else parse_corpus(lines)
+    cfg = TrainConfig(eta=eta, timesteps=timesteps, g_init=g_init, normalize="per-range-sum")
+    counts = count_pairs(corpus, 3).counts.astype(np.float64)
+    want = _per_range_sum_loop(counts, corpus.alphabet.d, cfg)
+    np.testing.assert_allclose(train(corpus, cfg, r_max=3).g, want, rtol=1e-9, atol=0)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(eta=0.0)
