@@ -41,6 +41,12 @@ def _check_well_formed(line: str, lineno: int) -> None:
             raise CorpusError(f"line {lineno}: malformed byte sequence")
 
 
+def _check_spellings(spellings: Iterable[str]) -> None:
+    # _split would never advance past an empty spelling.
+    if "" in spellings:
+        raise ValueError("empty symbol or digraph spelling")
+
+
 def _split(
     text: str, spellings: Mapping[str, str], lengths: Sequence[int]
 ) -> Iterator[tuple[int, str]]:
@@ -72,14 +78,15 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.symbols:
             raise CorpusError("empty corpus")
+        spellings = dict(self.digraphs)
+        spellings.update({s: s for s in self.symbols})
+        _check_spellings(spellings)
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols in alphabet")
         index = {s: i for i, s in enumerate(self.symbols)}
         for spelling, symbol in self.digraphs:
             if symbol not in index:
                 raise ValueError(f"digraph {spelling!r} maps to unknown symbol {symbol!r}")
-        spellings = dict(self.digraphs)
-        spellings.update({s: s for s in self.symbols})
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_spellings", spellings)
         object.__setattr__(self, "_lengths", sorted({len(k) for k in spellings}, reverse=True))
@@ -101,6 +108,7 @@ def build_inventory(
     """Collect every distinct symbol over the input lines, in first-appearance
     order. Lines starting with '#' are comments; commas count as whitespace."""
     digraphs = dict(digraph_table or {})
+    _check_spellings(digraphs)
     lengths = sorted({len(k) for k in digraphs}, reverse=True)
     seen: dict[str, None] = {}
     tokens = 0

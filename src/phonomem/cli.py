@@ -9,6 +9,7 @@ word lists.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,7 +66,8 @@ def cmd_train(args) -> int:
         normalize=args.normalize,
     )
     model = train(corpus, cfg, r_max=args.r_max, g0=args.g0)
-    model.meta["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    created = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    model = dataclasses.replace(model, meta={**model.meta, "created": created})
     save_model(model, args.out)
     print(f"d={model.d} r_max={model.r_max} words={len(corpus.words)} source={corpus.source}")
     for r in range(1, model.r_max + 1):

@@ -7,26 +7,11 @@ else is a pseudoword.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from .alphabet import Alphabet, Word, detokenize
-from .generator import BranchSpace
-
-
-def proper_prefixes(words: Iterable[Word]) -> set[Word]:
-    out: set[Word] = set()
-    for w in words:
-        for k in range(1, len(w)):
-            out.add(w[:k])
-    return out
-
-
-def classify(word: Word, input_words: set[Word], prefixes: set[Word]) -> str:
-    if word in input_words:
-        return "input-word"
-    if word in prefixes:
-        return "partial-input-word"
-    return "pseudoword"
+from .generator import BranchNode, BranchSpace
 
 
 def branch_to_json(
@@ -37,39 +22,38 @@ def branch_to_json(
     siblings. Node ids are the word strings themselves (the root's id is
     '.' when the root prefix is empty)."""
     input_set = {tuple(w) for w in input_words}
-    prefixes = proper_prefixes(input_set)
+    prefixes = {w[:k] for w in input_set for k in range(1, len(w))}
+    names: dict[BranchNode, str] = {}
     nodes = []
     edges = []
     for column in space.columns:
+        above = ""
         for node in column:
+            word = detokenize(node.word, alphabet)
+            names[node] = node_id = word or "."
+            if node.word in input_set:
+                flag = "input-word"
+            elif node.word in prefixes:
+                flag = "partial-input-word"
+            else:
+                flag = "pseudoword"
             nodes.append(
                 {
-                    "id": detokenize(node.word, alphabet) or ".",
-                    "word": detokenize(node.word, alphabet),
+                    "id": node_id,
+                    "word": word,
                     "energy": node.energy,
                     "col": node.col,
                     "rank": node.depth_down,
-                    "flag": classify(node.word, input_set, prefixes),
+                    "flag": flag,
                 }
             )
-            if node.children_right:
-                word_id = detokenize(node.word, alphabet) or "."
-                children = node.children_right
-                edges.append(
-                    {
-                        "src": word_id,
-                        "dst": detokenize(children[0].word, alphabet),
-                        "kind": "right",
-                    }
-                )
-                for above, below in zip(children, children[1:]):
-                    edges.append(
-                        {
-                            "src": detokenize(above.word, alphabet),
-                            "dst": detokenize(below.word, alphabet),
-                            "kind": "down",
-                        }
-                    )
+            # A column lists each parent's children together in rank order,
+            # so the node before a rank-k node (k > 0) is its rank k-1 sibling.
+            if node.depth_down:
+                edges.append({"src": above, "dst": word, "kind": "down"})
+            elif node.parent is not None:
+                edges.append({"src": names[node.parent], "dst": word, "kind": "right"})
+            above = word
     return {"format": "branch-space", "version": 1, "nodes": nodes, "edges": edges}
 
 
@@ -89,20 +73,20 @@ def branch_to_dot(
     space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word] = ()
 ) -> str:
     """DOT digraph: columns advance left to right (one rank group per word
-    length, ordered by energy within it); down edges are dashed."""
+    length, ordered within it by the energy as its label prints it, then by
+    word); down edges are dashed."""
     payload = branch_to_json(space, alphabet, input_words)
-    by_col: dict[int, list[dict]] = {}
-    for node in payload["nodes"]:
-        by_col.setdefault(node["col"], []).append(node)
     lines = [
         "digraph branch_space {",
         "  rankdir=LR;",
         '  node [fontname="monospace"];',
     ]
-    for col in sorted(by_col):
+    listed = iter(payload["nodes"])
+    for column in space.columns:
         lines.append("  { rank=same;")
-        for node in sorted(by_col[col], key=lambda n: (n["energy"], n["word"])):
-            label = _quote(f"{node['word']}\nE={node['energy']:.6g}")
+        group = [(f"{n['energy']:.6g}", n) for n in islice(listed, len(column))]
+        for energy, node in sorted(group, key=lambda g: (float(g[0]), g[1]["word"])):
+            label = _quote(f"{node['word']}\nE={energy}")
             lines.append(
                 f"    {_quote(node['id'])} [label={label}{_FLAG_ATTRS[node['flag']]}];"
             )

@@ -237,8 +237,8 @@ def segment(m: InteractionModel, w: Sequence[int], threshold: float) -> list[Wor
     A cut severs every pair term spanning that gap, so the total energy of
     the parts equals the original energy minus the severed terms (each
     counted once)."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0:  # also rejects NaN, which would never cut
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     w = tuple(w)
     if len(w) <= 1:
         return [w] if w else []

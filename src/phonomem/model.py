@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,21 +33,51 @@ def eval_count() -> int:
     return _EVALS
 
 
+# A list of only these is copied in one step rather than item by item: model
+# meta carries the whole training word list.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _freeze(value: Any) -> Any:
+    """Deep read-only copy of JSON-like data: mappings become read-only
+    mappings and lists become tuples."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _freeze(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        flat = _SCALARS.issuperset(map(type, value))
+        return tuple(value) if flat else tuple(map(_freeze, value))
+    return value
+
+
+def _thaw(value: Any) -> Any:
+    """Plain JSON-ready copy of _freeze output: dicts and lists again."""
+    if isinstance(value, MappingProxyType):
+        return {k: _thaw(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        flat = _SCALARS.issuperset(map(type, value))
+        return list(value) if flat else list(map(_thaw, value))
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class InteractionModel:
     """Trained sound-interaction tensors: g0 plus one nonnegative d x d
-    matrix per range 1..r_max. Immutable after construction; all read
-    operations are safe for concurrent use."""
+    matrix per range 1..r_max. Immutable after construction (meta is kept
+    as a deep read-only copy); all read operations are safe for concurrent
+    use."""
 
     alphabet: Alphabet
     r_max: int
     g0: float
     g: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.r_max < 1:
             raise ValueError("r_max must be >= 1")
+        g0 = float(self.g0)
+        if not math.isfinite(g0):
+            raise ValueError(f"g0 must be finite, got {g0}")
         d = self.alphabet.d
         g = np.array(self.g, dtype=np.float64)
         if g.shape != (self.r_max, d, d):
@@ -57,7 +88,8 @@ class InteractionModel:
             raise ValueError("negative interaction entries")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g0", float(self.g0))
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "meta", _freeze(self.meta))
         # Nested lists give ~20x faster scalar access than ndarray indexing
         # in the per-pair loops below.
         object.__setattr__(self, "_rows", g.tolist())
@@ -68,11 +100,11 @@ class InteractionModel:
         alphabet: Alphabet,
         r_max: int = 3,
         g0: float = 1.0,
-        meta: Optional[dict] = None,
+        meta: Optional[Mapping] = None,
     ) -> "InteractionModel":
         """All-zero tensors: every sound pair sits at the g0 baseline."""
         d = alphabet.d
-        return cls(alphabet, r_max, g0, np.zeros((r_max, d, d)), dict(meta or {}))
+        return cls(alphabet, r_max, g0, np.zeros((r_max, d, d)), meta or {})
 
     @property
     def d(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .errors import CorpusError, ModelFormatError
-from .model import InteractionModel
+from .model import InteractionModel, _thaw
 
 FORMAT_VERSION = 1
 
@@ -29,7 +29,7 @@ def model_to_dict(m: InteractionModel) -> dict:
         "r_max": m.r_max,
         "g0": m.g0,
         "g": {"shape": list(m.g.shape), "data": [float(x) for x in m.g.reshape(-1)]},
-        "meta": m.meta,
+        "meta": _thaw(m.meta),
     }
 
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import unicodedata
 
 import pytest
@@ -198,3 +200,25 @@ def test_word_round_trip_property(indices):
     al = load_embedded("latin").alphabet
     w = tuple(indices)
     assert tokenize(detokenize(w, al), al) == w
+
+
+def test_alphabet_rejects_empty_spellings():
+    with pytest.raises(ValueError, match="empty symbol"):
+        Alphabet(("", "a"))
+    with pytest.raises(ValueError, match="empty symbol"):
+        Alphabet(("a",), digraphs=(("", "a"),))
+
+
+def test_empty_digraph_spelling_rejected_before_splitting():
+    # Splitting on an empty spelling never advances, so the call runs in a
+    # child process that a timeout can stop.
+    code = (
+        "from phonomem import parse_corpus\n"
+        "try:\n"
+        "    parse_corpus(['ab'], digraph_table={'': 'x'})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    assert done.stdout == "empty symbol or digraph spelling\n"

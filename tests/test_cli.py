@@ -336,3 +336,22 @@ def test_data_errors_exit_2(tmp_path, capsys):
     empty.write_text("# nothing\n", encoding="utf-8")
     assert main(["train", str(empty), str(tmp_path / "m.json")]) == 2
     assert "empty corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("g0", float("nan"), "g0 must be finite, got nan"),
+     ("alphabet", "", "empty symbol or digraph spelling")],
+)
+def test_model_file_bad_value_exits_2(tmp_path, latin_model_path, capsys, field, value, message):
+    payload = json.loads(open(latin_model_path, encoding="utf-8").read())
+    if field == "alphabet":
+        payload["alphabet"][0] = value
+    else:
+        payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(bad)
+    assert main(["inspect", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: malformed model file: {message}\n"

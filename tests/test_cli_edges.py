@@ -35,6 +35,13 @@ def paths(tmp_path_factory):
         (["generate", "{model}", "serv", "--steps", "-3"], 1),
         (["generate", "{model}", "serv", "--stop-tau", "0", "--max-steps", "-1"], 1),
         (["predict", "{model}", "pāstō", "--limit", "-1"], 1),
+        (["train", "@latin", "{model}.out.json", "--g0", "nan"], 1),
+        (["train", "@latin", "{model}.out.json", "--g0", "inf"], 1),
+        (["train", "@latin", "{model}.out.json", "--eta", "nan"], 1),
+        (["train", "@latin", "{model}.out.json", "--eta", "inf"], 1),
+        (["train", "@latin", "{model}.out.json", "--g-init", "nan"], 1),
+        (["train", "@latin", "{model}.out.json", "--g-init", "inf"], 1),
+        (["segment", "{model}", "servus", "--threshold", "nan"], 1),
     ],
 )
 def test_edge_exit_codes(paths, capsys, argv, code):

@@ -348,3 +348,9 @@ def test_predict_completions_rejects_foreign_lexicon(latin_model):
     other = parse_corpus(["xyz"])
     with pytest.raises(ValueError, match="alphabet"):
         predict_completions(latin_model, (), other)
+
+
+def test_segment_rejects_nan_threshold(turkish, turkish_model):
+    w = tokenize("güzelkadın", turkish.alphabet)
+    with pytest.raises(ValueError, match="threshold"):
+        segment(turkish_model, w, float("nan"))

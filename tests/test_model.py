@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -305,3 +306,44 @@ def test_model_validation():
 def test_model_tensors_read_only(latin_model):
     with pytest.raises(ValueError):
         latin_model.g[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_g0(g0):
+    al = build_inventory(["ata"])
+    with pytest.raises(ValueError, match="g0 must be finite"):
+        InteractionModel(al, 1, g0, np.zeros((1, 2, 2)))
+
+
+def _mutable_parts(value):
+    if isinstance(value, (dict, list, set)):
+        yield value
+    if isinstance(value, Mapping):
+        for v in value.values():
+            yield from _mutable_parts(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _mutable_parts(v)
+
+
+def test_model_meta_read_only(turkish_model):
+    with pytest.raises(TypeError):
+        turkish_model.meta["created"] = "now"
+    with pytest.raises(TypeError):
+        turkish_model.meta["corpus"]["num_words"] = 0
+    assert isinstance(turkish_model.meta["corpus"]["words"], tuple)
+    assert not list(_mutable_parts(turkish_model.meta))
+
+
+def test_model_meta_shares_nothing_with_caller_or_ablate(turkish_model):
+    al = build_inventory(["ata"])
+    meta = {"corpus": {"words": ["ata"]}, "ablated": [1]}
+    m = InteractionModel(al, 1, 1.0, np.zeros((1, 2, 2)), meta)
+    meta["corpus"]["words"].append("tat")
+    meta["corpus"]["d"] = 5
+    meta["extra"] = True
+    assert m.meta == {"corpus": {"words": ("ata",)}, "ablated": (1,)}
+    partial = ablate(turkish_model, {2})
+    assert partial.meta["ablated"] == (2,)
+    assert "ablated" not in turkish_model.meta
+    assert not list(_mutable_parts(partial.meta))

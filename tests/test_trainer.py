@@ -173,3 +173,24 @@ def test_verify_decay_after_training(latin, turkish, latin_model, turkish_model)
     m = train(Corpus(latin.alphabet, long_words, source="long"))
     means = [mean_interaction(m, r) for r in (1, 2, 3)]
     assert means[0] > means[1] > means[2]
+
+
+@pytest.mark.parametrize("field", ["eta", "g_init"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
+def test_verify_decay_equal_means_within_rounding(latin, turkish):
+    # Every per-range-sum range has mean exactly 1 in real arithmetic.
+    cfg = TrainConfig(eta=1e-3, timesteps=100, normalize="per-range-sum")
+    for corpus in (latin, turkish):
+        for r_max in (2, 3, 5):
+            assert verify_decay(train(corpus, cfg, r_max=r_max))
+    al = latin.alphabet
+    g = np.ones((2, al.d, al.d))
+    g[1] *= 1.0 + 1e-12  # a rise within rounding
+    assert verify_decay(InteractionModel(al, 2, 1.0, g))
+    g[1] = 1.0 + 1e-6  # a clear rise
+    assert not verify_decay(InteractionModel(al, 2, 1.0, g))
