@@ -11,6 +11,7 @@ downstream.
 from __future__ import annotations
 
 import hashlib
+import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -35,10 +36,12 @@ def _split_tokens(line: str) -> list[str]:
     return line.replace(",", " ").split()
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def _check_well_formed(line: str, lineno: int) -> None:
-    for ch in line:
-        if 0xD800 <= ord(ch) <= 0xDFFF:
-            raise CorpusError(f"line {lineno}: malformed byte sequence")
+    if _SURROGATE.search(line):
+        raise CorpusError(f"line {lineno}: malformed byte sequence")
 
 
 def _check_spellings(spellings: Iterable[str]) -> None:
@@ -161,16 +164,22 @@ class Corpus:
         for w in self.words:
             if not w:
                 raise CorpusError("empty word in corpus")
-            if any(not 0 <= s < d for s in w):
+            if min(w) < 0 or max(w) >= d:
                 raise CorpusError("word with out-of-range symbol index")
 
     def surface_words(self) -> list[str]:
-        return [detokenize(w, self.alphabet) for w in self.words]
+        # __post_init__ has range-checked every index, so no per-symbol check.
+        symbols = self.alphabet.symbols
+        return ["".join([symbols[i] for i in w]) for w in self.words]
 
     def sha256(self) -> str:
         """Platform-stable digest of the normalized word list."""
-        joined = "\n".join(self.surface_words())
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        return surface_digest(self.surface_words())
+
+
+def surface_digest(surface_words: Sequence[str]) -> str:
+    """The digest `Corpus.sha256` gives for these surface words."""
+    return hashlib.sha256("\n".join(surface_words).encode("utf-8")).hexdigest()
 
 
 def parse_corpus(

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
-from .alphabet import Corpus
+from .alphabet import Corpus, surface_digest
 from .errors import CorpusError
 from .model import InteractionModel, mean_interaction
 
@@ -63,15 +64,27 @@ class PairCounts:
 
 def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     """Exact pair counts for every range 1..r_max. The total at range r
-    equals sum over words of max(0, N - r)."""
+    equals sum over words of max(0, N - r).
+
+    Every word is laid end to end in one flat index array, with the word id
+    of each position beside it. At range r, position i pairs with i + r
+    when both carry the same word id; those pairs are counted with one
+    bincount of s*d + s'. Ranges longer than every word stay zero."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     d = corpus.alphabet.d
+    words = corpus.words
+    # int32 positions keep the flat arrays at half the size; the pair index
+    # s*d + s' is formed in intp, the type bincount takes without a copy.
+    lengths = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
+    flat = np.fromiter(chain.from_iterable(words), dtype=np.int32, count=int(lengths.sum()))
+    word_id = np.repeat(np.arange(len(words), dtype=np.int32), lengths)
     counts = np.zeros((r_max, d, d), dtype=np.int64)
-    for w in corpus.words:
-        arr = np.asarray(w, dtype=np.intp)
-        for r in range(1, min(r_max, len(w) - 1) + 1):
-            np.add.at(counts[r - 1], (arr[:-r], arr[r:]), 1)
+    for r in range(1, min(r_max, int(lengths.max(initial=0)) - 1) + 1):
+        pair = np.multiply(flat[:-r], d, dtype=np.intp)
+        pair += flat[r:]
+        same = word_id[:-r] == word_id[r:]
+        counts[r - 1].flat = np.bincount(pair[same], minlength=d * d)
     return PairCounts(counts)
 
 
@@ -99,14 +112,15 @@ def train(
                 if mass > 0.0:
                     u, v = u * (target / mass), v * (target / mass)
             g[r] = u + v * counts[r]
+    words = corpus.surface_words()
     meta = {
         "train": asdict(cfg),
         "corpus": {
             "source": corpus.source,
-            "sha256": corpus.sha256(),
+            "sha256": surface_digest(words),
             "num_words": len(corpus.words),
             "d": corpus.alphabet.d,
-            "words": corpus.surface_words(),
+            "words": words,
         },
     }
     return InteractionModel(corpus.alphabet, r_max, g0, g, meta)

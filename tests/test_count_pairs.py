@@ -1,0 +1,80 @@
+import random
+
+import numpy as np
+import pytest
+
+from phonomem import (
+    Alphabet,
+    Corpus,
+    CorpusError,
+    build_inventory,
+    count_pairs,
+    parse_corpus,
+    train,
+)
+
+
+def reference_counts(corpus: Corpus, r_max: int) -> np.ndarray:
+    """The per-word np.add.at loop that count_pairs replaced."""
+    d = corpus.alphabet.d
+    counts = np.zeros((r_max, d, d), dtype=np.int64)
+    for w in corpus.words:
+        arr = np.asarray(w, dtype=np.intp)
+        for r in range(1, min(r_max, len(w) - 1) + 1):
+            np.add.at(counts[r - 1], (arr[:-r], arr[r:]), 1)
+    return counts
+
+
+def random_corpus() -> Corpus:
+    rng = random.Random(0)
+    d = 120
+    alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(d)))
+    words = tuple(
+        tuple(rng.randrange(d) for _ in range(rng.randint(3, 14))) for _ in range(500)
+    )
+    return Corpus(alphabet, words)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda request: request.getfixturevalue("latin"),
+        lambda request: request.getfixturevalue("turkish"),
+        lambda request: random_corpus(),
+        lambda request: parse_corpus(["a b c a a b"]),
+        lambda request: parse_corpus(["insula"]),
+    ],
+    ids=["latin", "turkish", "random", "one-sound", "single-word"],
+)
+def test_count_pairs_equals_add_at_loop(make, request):
+    corpus = make(request)
+    d = corpus.alphabet.d
+    longest = max(map(len, corpus.words))
+    for r_max in range(1, longest + 3):
+        counts = count_pairs(corpus, r_max).counts
+        assert counts.dtype == np.int64
+        assert counts.shape == (r_max, d, d)
+        np.testing.assert_array_equal(counts, reference_counts(corpus, r_max))
+
+
+def test_train_meta_words_and_digest_from_surface_spellings():
+    # "sh" is spelled "ʃ" in the alphabet, so surface words differ from input.
+    corpus = parse_corpus(["shoe ash", "hose"], digraph_table={"sh": "ʃ"})
+    surface = corpus.surface_words()
+    assert surface == ["ʃoe", "aʃ", "hose"]
+    meta = train(corpus).meta["corpus"]
+    assert meta["words"] == tuple(surface)
+    assert meta["sha256"] == corpus.sha256()
+
+
+def test_lone_surrogate_names_its_line():
+    with pytest.raises(CorpusError, match="^line 3: malformed byte sequence$"):
+        build_inventory(["fine", "also fine", "bad \udc80 word"])
+
+
+def test_corpus_index_bounds():
+    al = build_inventory(["ata"])
+    assert Corpus(al, ((0, 1), (1,))).surface_words() == ["at", "t"]
+    for word in ((0, 2), (-1, 0)):
+        with pytest.raises(CorpusError, match="out-of-range"):
+            Corpus(al, (word,))
