@@ -93,6 +93,12 @@ class Alphabet:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_spellings", spellings)
         object.__setattr__(self, "_lengths", sorted({len(k) for k in spellings}, reverse=True))
+        # With no digraphs and every symbol one character, _split looks up
+        # each character as a spelling first, so it yields a known text's
+        # characters one by one.
+        object.__setattr__(
+            self, "_per_char", not self.digraphs and all(len(s) == 1 for s in self.symbols)
+        )
 
     @property
     def d(self) -> int:
@@ -112,17 +118,22 @@ def build_inventory(
     order. Lines starting with '#' are comments; commas count as whitespace."""
     digraphs = dict(digraph_table or {})
     _check_spellings(digraphs)
-    lengths = sorted({len(k) for k in digraphs}, reverse=True)
-    seen: dict[str, None] = {}
-    tokens = 0
+    texts: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         _check_well_formed(line, lineno)
-        for token in _split_tokens(line):
-            tokens += 1
-            for _, symbol in _split(normalize(token), digraphs, lengths):
-                seen.setdefault(symbol)
-    if tokens == 0:
+        texts.extend(map(normalize, _split_tokens(line)))
+    if not texts:
         raise CorpusError("empty corpus")
+    if not digraphs:
+        # With no digraphs and no combining mark, _split yields each character.
+        chars = dict.fromkeys("".join(texts))
+        if not any(map(unicodedata.combining, chars)):
+            return Alphabet(tuple(chars))
+    lengths = sorted({len(k) for k in digraphs}, reverse=True)
+    seen: dict[str, None] = {}
+    for text in texts:
+        for _, symbol in _split(text, digraphs, lengths):
+            seen.setdefault(symbol)
     return Alphabet(tuple(seen), tuple(digraphs.items()))
 
 
@@ -130,6 +141,11 @@ def tokenize(text: str, alphabet: Alphabet) -> Word:
     """Map a surface string to symbol indices; the longest known spelling wins
     at each position."""
     s = normalize(text)
+    if alphabet._per_char:
+        try:
+            return tuple(map(alphabet._index.__getitem__, s))
+        except KeyError:
+            pass  # the split below names the unknown symbol and its offset
     out: list[int] = []
     for offset, symbol in _split(s, alphabet._spellings, alphabet._lengths):
         idx = alphabet._index.get(symbol)

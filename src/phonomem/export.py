@@ -19,41 +19,44 @@ def branch_to_json(
 ) -> dict:
     """Node/edge arrays for the materialized space. Right edges join a word
     to its ground continuation; down edges join consecutive same-parent
-    siblings. Node ids are the word strings themselves (the root's id is
-    '.' when the root prefix is empty)."""
+    siblings. Node ids are the word strings themselves; an empty root's id
+    is '.', or the shortest run of dots that no word spells."""
     input_set = {tuple(w) for w in input_words}
     prefixes = {w[:k] for w in input_set for k in range(1, len(w))}
+    listed = list(space.nodes())
+    words = [detokenize(node.word, alphabet) for node in listed]
+    root_id = "."
+    while root_id in words:
+        root_id += "."
     names: dict[BranchNode, str] = {}
     nodes = []
     edges = []
-    for column in space.columns:
-        above = ""
-        for node in column:
-            word = detokenize(node.word, alphabet)
-            names[node] = node_id = word or "."
-            if node.word in input_set:
-                flag = "input-word"
-            elif node.word in prefixes:
-                flag = "partial-input-word"
-            else:
-                flag = "pseudoword"
-            nodes.append(
-                {
-                    "id": node_id,
-                    "word": word,
-                    "energy": node.energy,
-                    "col": node.col,
-                    "rank": node.depth_down,
-                    "flag": flag,
-                }
-            )
-            # A column lists each parent's children together in rank order,
-            # so the node before a rank-k node (k > 0) is its rank k-1 sibling.
-            if node.depth_down:
-                edges.append({"src": above, "dst": word, "kind": "down"})
-            elif node.parent is not None:
-                edges.append({"src": names[node.parent], "dst": word, "kind": "right"})
-            above = word
+    above = ""
+    for node, word in zip(listed, words):
+        names[node] = node_id = word or root_id
+        if node.word in input_set:
+            flag = "input-word"
+        elif node.word in prefixes:
+            flag = "partial-input-word"
+        else:
+            flag = "pseudoword"
+        nodes.append(
+            {
+                "id": node_id,
+                "word": word,
+                "energy": node.energy,
+                "col": node.col,
+                "rank": node.depth_down,
+                "flag": flag,
+            }
+        )
+        # A column lists each parent's children together in rank order,
+        # so the node before a rank-k node (k > 0) is its rank k-1 sibling.
+        if node.depth_down:
+            edges.append({"src": above, "dst": node_id, "kind": "down"})
+        elif node.parent is not None:
+            edges.append({"src": names[node.parent], "dst": node_id, "kind": "right"})
+        above = node_id
     return {"format": "branch-space", "version": 1, "nodes": nodes, "edges": edges}
 
 

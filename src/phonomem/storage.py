@@ -1,8 +1,10 @@
 """Versioned JSON persistence for trained models.
 
 Tensors are stored row-major with an explicit shape, as decimal floats at
-full round-trip precision, so a saved model reloads bit-exactly and stays
-human-diffable.
+full round-trip precision, so a saved model reloads bit-exactly. The file
+puts each top-level key on its own line and each tensor row on its own
+line, so it stays line-diffable while every value goes through the C JSON
+encoder (an indented dump would run the pure-Python one).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def model_to_dict(m: InteractionModel) -> dict:
         "digraphs": [list(kv) for kv in m.alphabet.digraphs],
         "r_max": m.r_max,
         "g0": m.g0,
-        "g": {"shape": list(m.g.shape), "data": [float(x) for x in m.g.reshape(-1)]},
+        "g": {"shape": list(m.g.shape), "data": m.g.reshape(-1).tolist()},
         "meta": _thaw(m.meta),
     }
 
@@ -62,11 +64,34 @@ def model_from_dict(payload: dict) -> InteractionModel:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _model_text(m: InteractionModel) -> str:
+    """model_to_dict(m) as JSON text: one line per top-level key, and the
+    tensor data one row (last axis) per line. The pieces are joined once, so
+    the text is not copied again on its way to one string."""
+    parts: list[str] = []
+    for key, value in model_to_dict(m).items():
+        parts += [",\n " if parts else "{\n ", _dumps(key), ": "]
+        if key != "g":
+            parts.append(_dumps(value))
+            continue
+        data, width = value["data"], value["shape"][-1]
+        parts.append(f'{{"shape": {_dumps(value["shape"])}, "data": [\n  ')
+        for i in range(0, len(data), width):
+            parts += [_dumps(data[i : i + width])[1:-1], ",\n  "]
+        parts[-1] = "\n ]}"  # the last row takes no comma
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
 def save_model(m: InteractionModel, path) -> None:
     """Write the model as JSON to a temporary file beside `path`, then move it
     over `path`, so a failed write leaves any earlier file intact."""
     path = Path(path)
-    text = json.dumps(model_to_dict(m), ensure_ascii=False, indent=1) + "\n"
+    text = _model_text(m)
     # Named per process and thread rather than by mkstemp, whose 0600 mode
     # would replace the usual umask-based mode of the model file.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")

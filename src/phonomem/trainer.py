@@ -7,11 +7,22 @@ a constant, so plain flow has the closed form
     g(r) = g_init + eta * timesteps * counts(r)
 
 which stays nonnegative because eta > 0, g_init >= 0 and counts >= 0. The
-optional per-range-sum mode rescales each g(r) to a fixed total mass (d*d)
-after every step, which keeps entries comparable to g0 for inspection;
-entry orderings are unchanged in both modes. Both the step and the rescale
-keep the form g(r) = u*J + v*counts(r), with J the all-ones matrix, so that
-mode iterates the two scalars u, v per range and builds g(r) once.
+optional per-range-sum mode rescales each g(r) to a fixed total mass
+T = d*d after every step, which keeps entries comparable to g0 for
+inspection; entry orderings are unchanged in both modes. Both the step and
+the rescale keep the form g(r) = u*J + v*counts(r), with J the all-ones
+matrix. With S = sum(counts(r)), the first step and rescale give
+
+    u1 = g_init*T/M,  v1 = eta*T/M,  M = g_init*T + eta*S
+
+(no rescale when M = 0). Every later step starts from mass T and maps
+u -> c*u, v -> c*(v + eta) with c = T/(T + eta*S), so after n steps
+
+    u = c^(n-1)*u1,  v = c^(n-1)*v1 + eta*(c + c^2 + ... + c^(n-1))
+                       = c^(n-1)*v1 + (T/S)*(1 - c^(n-1))
+
+where the last form uses eta*c/(1 - c) = T/S. A range with no pairs has
+c = 1 and keeps u = u1.
 """
 
 from __future__ import annotations
@@ -88,6 +99,22 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     return PairCounts(counts)
 
 
+def _per_range_sum_scalars(total: float, target: float, cfg: TrainConfig) -> tuple[float, float]:
+    """(u, v) after cfg.timesteps per-range-sum steps on a range whose counts
+    sum to `total`, by the closed form in the module docstring."""
+    n, eta = cfg.timesteps, cfg.eta
+    mass = cfg.g_init * target + eta * total
+    if n == 0 or mass == 0.0:  # never rescaled
+        return cfg.g_init, eta * n
+    u, v = cfg.g_init * (target / mass), eta * (target / mass)
+    if total == 0.0:  # c == 1
+        return u, v + eta * (n - 1)
+    # c^(n-1) and 1 - c^(n-1) through log1p and expm1, accurate as c nears 1.
+    log_c = -math.log1p(eta * total / target)
+    decay = math.exp((n - 1) * log_c)
+    return u * decay, v * decay - (target / total) * math.expm1((n - 1) * log_c)
+
+
 def train(
     corpus: Corpus,
     cfg: TrainConfig = TrainConfig(),
@@ -105,12 +132,7 @@ def train(
         target = float(corpus.alphabet.d ** 2)
         g = np.empty_like(counts)
         for r in range(r_max):
-            u, v, total = cfg.g_init, 0.0, float(counts[r].sum())
-            for _ in range(cfg.timesteps):
-                v += cfg.eta
-                mass = u * target + v * total
-                if mass > 0.0:
-                    u, v = u * (target / mass), v * (target / mass)
+            u, v = _per_range_sum_scalars(float(counts[r].sum()), target, cfg)
             g[r] = u + v * counts[r]
     words = corpus.surface_words()
     meta = {

@@ -1,0 +1,60 @@
+"""The model file layout: version-1 JSON with one tensor row per line and
+`meta` on one line, read back bit-exactly; the older indented layout still
+loads."""
+
+import json
+
+import pytest
+
+from phonomem import TrainConfig, load_model, parse_corpus, save_model, train
+from phonomem.storage import model_to_dict
+
+
+@pytest.fixture(
+    params=["latin", "latin-per-range-sum", "turkish-r5", "digraphs"], scope="module"
+)
+def model(request, latin, turkish):
+    if request.param == "latin":
+        return train(latin)
+    if request.param == "latin-per-range-sum":
+        return train(latin, TrainConfig(normalize="per-range-sum"))
+    if request.param == "turkish-r5":
+        return train(turkish, r_max=5)
+    return train(parse_corpus(["shasa sha ashe"], digraph_table={"sh": "ʃ"}), r_max=2)
+
+
+def assert_same_model(back, m):
+    assert back.alphabet == m.alphabet
+    assert (back.r_max, back.g0) == (m.r_max, m.g0)
+    assert back.g.dtype == m.g.dtype and back.g.tobytes() == m.g.tobytes()
+    assert back.meta == m.meta
+
+
+def test_saved_file_is_model_to_dict(tmp_path, model):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == json.loads(json.dumps(model_to_dict(model)))
+    assert_same_model(load_model(path), model)
+
+
+def test_one_tensor_row_per_line_and_meta_on_one_line(tmp_path, model):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(' "g": '))
+    assert lines[start].endswith('"data": [')
+    d = model.alphabet.d
+    rows = lines[start + 1 : start + 1 + model.r_max * d]
+    assert lines[start + 1 + model.r_max * d] == " ]},"
+    assert [json.loads(f"[{row.rstrip(',')}]") for row in rows] == model.g.reshape(-1, d).tolist()
+    meta = [line for line in lines if line.startswith(' "meta": ')]
+    assert len(meta) == 1
+    assert json.loads("{" + meta[0] + "}")["meta"] == json.loads(json.dumps(model_to_dict(model)))["meta"]
+
+
+def test_indented_layout_still_loads(tmp_path, model):
+    path = tmp_path / "old.json"
+    text = json.dumps(model_to_dict(model), ensure_ascii=False, indent=1) + "\n"
+    path.write_text(text, encoding="utf-8")
+    assert_same_model(load_model(path), model)
