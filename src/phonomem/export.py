@@ -19,21 +19,37 @@ def branch_to_json(
 ) -> dict:
     """Node/edge arrays for the materialized space. Right edges join a word
     to its ground continuation; down edges join consecutive same-parent
-    siblings. Node ids are the word strings themselves; an empty root's id
-    is '.', or the shortest run of dots that no word spells."""
-    input_set = {tuple(w) for w in input_words}
-    prefixes = {w[:k] for w in input_set for k in range(1, len(w))}
+    siblings. A node's id is its word string, except that an empty root's
+    id is '.', or the shortest run of dots that no word spells, and a word
+    string already taken by an earlier node (two sound sequences can spell
+    the same text when a symbol has several characters) gets the first
+    '#2', '#3', ... suffix that no word spells and no node holds.
+
+    Every node starts with the root prefix, so only the input words that
+    start with it can match a node or have one as a proper prefix."""
+    p = space.prefix
+    input_set = {w for w in map(tuple, input_words) if w[: len(p)] == p}
+    prefixes = {w[:k] for w in input_set for k in range(max(1, len(p)), len(w))}
     listed = list(space.nodes())
     words = [detokenize(node.word, alphabet) for node in listed]
+    spelled = set(words)
     root_id = "."
-    while root_id in words:
+    while root_id in spelled:
         root_id += "."
     names: dict[BranchNode, str] = {}
+    taken: set[str] = set()
     nodes = []
     edges = []
     above = ""
     for node, word in zip(listed, words):
-        names[node] = node_id = word or root_id
+        node_id = word or root_id
+        if node_id in taken:
+            copy = 2
+            while f"{word}#{copy}" in spelled or f"{word}#{copy}" in taken:
+                copy += 1
+            node_id = f"{word}#{copy}"
+        names[node] = node_id
+        taken.add(node_id)
         if node.word in input_set:
             flag = "input-word"
         elif node.word in prefixes:

@@ -19,8 +19,8 @@ from .errors import SectorExhaustedError
 from .model import (
     InteractionModel,
     _check_beta,
+    _log_chain_probabilities,
     energy_profile,
-    log_chain_probability,
     ranked_next_sounds,
     word_energy,
 )
@@ -261,15 +261,14 @@ def predict_completions(
     """Rank every lexicon word that starts with the prefix by the chain
     probability of its continuation, descending; ties order by word. Ranking
     uses log-probabilities, so probabilities that underflow to 0.0 still
-    order correctly. A prefix matching nothing yields an empty list."""
+    order correctly. All matches are scored together as one array program,
+    each to the value log_chain_probability gives it. A prefix matching
+    nothing yields an empty list."""
     _check_beta(beta)
     if lexicon.alphabet.symbols != m.alphabet.symbols:
         raise ValueError("lexicon alphabet does not match the model alphabet")
     p = tuple(prefix)
-    scored = [
-        (w, log_chain_probability(m, p, w[len(p) :], beta))
-        for w in lexicon.words
-        if w[: len(p)] == p
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    matches = [w for w in lexicon.words if w[: len(p)] == p]
+    logps = _log_chain_probabilities(m, matches, len(p), beta).tolist()
+    scored = sorted(zip(matches, logps), key=lambda item: (-item[1], item[0]))
     return [(w, math.exp(logp)) for w, logp in scored]

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, _check_indices
 
 _EVALS = 0
 
@@ -207,6 +208,54 @@ def next_sound_distribution(
     return NextSoundDistribution(energies, weights / weights.sum(), float(beta))
 
 
+# Entries in one stacked (word-steps x d) array of the chain scorer: 2 MiB of
+# float64, so memory stays flat however long the lexicon.
+_BLOCK = 1 << 18
+
+
+def _log_chain_probabilities(
+    m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
+) -> np.ndarray:
+    """Log chain probability of each word's sounds from position `start` on,
+    each given the sounds before it; see log_chain_probability.
+
+    Scored as one array program: every scored word-step of a block of words
+    is one row of a (word-steps x d) array of candidate cross energies, and
+    each row takes one max-shifted log-softmax. Each word's terms are then
+    summed in step order, so every total equals the one-word chain bit for
+    bit. Counts d evaluations per scored word-step toward eval_count()."""
+    global _EVALS
+    d = m.d
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    longest = int(lengths.max(initial=0))
+    position = np.arange(longest)
+    inside = position < lengths[:, None]
+    padded = np.zeros((len(words), longest), dtype=np.intp)
+    padded[inside] = np.fromiter(
+        chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
+    )
+    scored = inside & (position >= start)
+    totals = np.zeros(len(words))
+    per_block = max(1, _BLOCK // (d * max(1, longest - start)))
+    for lo in range(0, len(words), per_block):
+        block = scored[lo : lo + per_block]
+        word, step = np.nonzero(block)  # row-major: each word's steps in order
+        word += lo
+        cross = np.zeros((len(word), d))
+        for r in range(1, m.r_max + 1):
+            has = step >= r  # the steps with a sound r places back
+            cross[has] += (m.g0 - m.g[r - 1]).take(padded[word[has], step[has] - r], axis=0)
+        cross *= -beta
+        cross -= np.maximum.reduce(cross, axis=1)[:, None]
+        norm = np.log(np.add.reduce(np.exp(cross), axis=1))
+        terms = np.zeros(block.shape)
+        terms[block] = cross.take(np.arange(len(word)) * d + padded[word, step]) - norm
+        for j in range(start, longest):
+            totals[lo : lo + per_block] += terms[:, j]
+        _EVALS += d * len(word)
+    return totals
+
+
 def log_chain_probability(
     m: InteractionModel,
     prefix: Sequence[int],
@@ -215,16 +264,13 @@ def log_chain_probability(
 ) -> float:
     """Log of sequence_probability, summed as one max-shifted log-softmax term
     per appended sound. The prefix energy shifts every candidate equally and
-    cancels, so only the cross terms are scored (O(N) per word)."""
+    cancels, so only the cross terms are scored (O(N) per word). A symbol
+    index outside 0..d-1 raises ValueError."""
     _check_beta(beta)
     p = tuple(prefix)
-    total = 0.0
-    for s in continuation:
-        scaled = -beta * next_sound_energies(m, p, base=0.0)
-        top = scaled.max()
-        total += float(scaled[s] - top - np.log(np.exp(scaled - top).sum()))
-        p += (s,)
-    return total
+    word = p + tuple(continuation)
+    _check_indices(word, m.d)
+    return float(_log_chain_probabilities(m, [word], len(p), beta)[0])
 
 
 def sequence_probability(

@@ -1,0 +1,106 @@
+"""The array chain scorer behind predict_completions and
+log_chain_probability equals the word-by-word chain bit for bit."""
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from phonomem import TrainConfig, parse_corpus, predict_completions, train
+from phonomem import model as model_module
+from phonomem.model import (
+    _check_beta,
+    _log_chain_probabilities,
+    eval_count,
+    log_chain_probability,
+    next_sound_energies,
+    reset_eval_count,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import synth_words  # noqa: E402
+
+
+def _reference_log_chain(m, prefix, continuation, beta=1.0):
+    """The per-word loop log_chain_probability ran before the array scorer."""
+    _check_beta(beta)
+    p = tuple(prefix)
+    total = 0.0
+    for s in continuation:
+        scaled = -beta * next_sound_energies(m, p, base=0.0)
+        top = scaled.max()
+        total += float(scaled[s] - top - np.log(np.exp(scaled - top).sum()))
+        p += (s,)
+    return total
+
+
+@pytest.fixture(scope="module")
+def synth():
+    corpus = parse_corpus(synth_words(1, 600))
+    return corpus, train(corpus)
+
+
+@pytest.fixture(scope="module")
+def latin_normalized(latin):
+    # Non-integer couplings, so a change in summation order shows.
+    return latin, train(latin, TrainConfig(normalize="per-range-sum"))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _cases(request, name):
+    if name in ("synth", "latin_normalized"):
+        return request.getfixturevalue(name)
+    return request.getfixturevalue(name), request.getfixturevalue(f"{name}_model")
+
+
+@pytest.mark.parametrize("name", ["latin", "turkish", "synth", "latin_normalized"])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 60.0])
+def test_batch_scorer_is_bit_identical_to_the_word_loop(request, name, beta):
+    corpus, model = _cases(request, name)
+    if name == "synth":
+        assert model.d == 120
+    words = sorted(set(corpus.words))
+    prefixes = [(), words[0][:1], words[1][:2], words[-1][:2], (model.d - 1,) * 3]
+    for p in prefixes:
+        matches = [w for w in words if w[: len(p)] == p]
+        expected = [_reference_log_chain(model, p, w[len(p) :], beta) for w in matches]
+        reset_eval_count()
+        got = _log_chain_probabilities(model, matches, len(p), beta).tolist()
+        assert eval_count() == model.d * sum(len(w) - len(p) for w in matches)
+        assert _bits(got) == _bits(expected)
+        one_by_one = [log_chain_probability(model, p, w[len(p) :], beta) for w in matches]
+        assert _bits(one_by_one) == _bits(expected)
+        ranked = predict_completions(model, p, corpus, beta)
+        want = sorted(zip(matches, expected), key=lambda item: (-item[1], item[0]))
+        assert ranked == [(w, math.exp(logp)) for w, logp in want]
+    assert predict_completions(model, (model.d - 1,) * 3, corpus, beta) == []
+
+
+def test_one_word_case_scores_any_prefix(latin_model):
+    for p, c in [((), ()), ((3,), ()), ((), (0, 1, 2)), ((5, 4, 3, 2, 1), (0, 7))]:
+        reset_eval_count()
+        got = log_chain_probability(latin_model, p, c)
+        assert eval_count() == latin_model.d * len(c)
+        assert _bits([got]) == _bits([_reference_log_chain(latin_model, p, c)])
+
+
+def test_out_of_range_symbol_is_a_value_error(latin_model):
+    d = latin_model.d
+    for p, c in [((), (d,)), ((0,), (1, d)), ((d,), (0,)), ((), (-1,))]:
+        with pytest.raises(ValueError, match="out of range"):
+            log_chain_probability(latin_model, p, c)
+
+
+def test_block_size_changes_no_total(monkeypatch, turkish, turkish_model):
+    words = list(turkish.words)
+    whole = _log_chain_probabilities(turkish_model, words, 1, 1.0).tolist()
+    for block in (1, turkish_model.d * 5, turkish_model.d * 40):
+        monkeypatch.setattr(model_module, "_BLOCK", block)
+        reset_eval_count()
+        assert _bits(_log_chain_probabilities(turkish_model, words, 1, 1.0)) == _bits(whole)
+        assert eval_count() == turkish_model.d * sum(len(w) - 1 for w in words)
