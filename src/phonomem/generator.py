@@ -20,6 +20,7 @@ from .model import (
     InteractionModel,
     _check_beta,
     _log_chain_probabilities,
+    _ranked_columns,
     energy_profile,
     ranked_next_sounds,
     word_energy,
@@ -90,7 +91,8 @@ class BranchSpace:
     path. Membership (`find`) costs O(N d) candidate evaluations and never
     builds the tree; `columns`/`nodes` materialize it on demand and grow
     combinatorially with max_depth_down, so keep depths modest when
-    exporting. Deterministic throughout.
+    exporting. Materialization scores one column per array call, at d
+    candidate evaluations per expanded node. Deterministic throughout.
     """
 
     def __init__(
@@ -129,10 +131,15 @@ class BranchSpace:
         frontier = [(root, self.max_depth_down - 1)]
         for col in range(1, self.max_depth_right + 1):
             grown: list[tuple[BranchNode, int]] = []
-            for node, budget in frontier:
-                energies, order = ranked_next_sounds(m, node.word, base=node.energy)
+            ranked = _ranked_columns(
+                m,
+                [node.word for node, _ in frontier],
+                [node.energy for node, _ in frontier],
+                width=max(budget for _, budget in frontier) + 1,
+            )
+            for (node, budget), (order, energies) in zip(frontier, ranked):
                 for rank, s in enumerate(order[: budget + 1]):
-                    child = BranchNode(node.word + (s,), float(energies[s]), col, rank, node)
+                    child = BranchNode(node.word + (s,), energies[rank], col, rank, node)
                     node.children_right.append(child)
                     grown.append((child, budget - rank))
             if not grown:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,12 @@ def reset_eval_count() -> None:
 def eval_count() -> int:
     """Number of candidate boundary-energy evaluations since the last reset."""
     return _EVALS
+
+
+def _count_evals(n: int) -> None:
+    """Add n candidate evaluations to eval_count(); every scorer counts here."""
+    global _EVALS
+    _EVALS += n
 
 
 # A list of only these is copied in one step rather than item by item: model
@@ -152,23 +158,34 @@ def energy_profile(m: InteractionModel, w: Sequence[int]) -> list[float]:
     return gaps
 
 
+def _cross_energies(
+    m: InteractionModel, back: Sequence[Any], rows: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Cross terms coupling each of the d candidate sounds to the sounds
+    before it: back[r - 1] is the sound r places back, an int for one row or
+    an int array of `rows` entries for one row per entry. Ranges are summed
+    in r order, so a row equals its one-row case bit for bit."""
+    cross = np.zeros(rows + (m.d,))
+    for r, s in enumerate(back, 1):
+        cross += m.g0 - m.g[r - 1][s]
+    return cross
+
+
 def next_sound_energies(
     m: InteractionModel, prefix: Sequence[int], base: Optional[float] = None
 ) -> np.ndarray:
     """Boundary energy of prefix + s for each of the d candidate sounds s,
     computed as the prefix energy plus the candidate's cross terms: the pair
     terms coupling s to the last r_max sounds of the prefix (equal to the
-    concatenated word energy up to float summation order).
+    concatenated word energy up to float summation order). This is the
+    one-row case of the column scorer that materializes a branch space.
 
     Counts d evaluations toward eval_count(). Growth loops pass `base` (the
     running prefix energy) to avoid re-deriving it every step; base=0 gives
     the cross terms alone.
     """
-    global _EVALS
-    _EVALS += m.d
-    cross = np.zeros(m.d, dtype=np.float64)
-    for r in range(1, min(m.r_max, len(prefix)) + 1):
-        cross += m.g0 - m.g[r - 1][prefix[-r]]
+    _count_evals(m.d)
+    cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
     return (word_energy(m, prefix) if base is None else base) + cross
 
 
@@ -176,8 +193,10 @@ def ranked_next_sounds(
     m: InteractionModel, prefix: Sequence[int], base: Optional[float] = None
 ) -> tuple[np.ndarray, list[int]]:
     """Candidate energies (as next_sound_energies) and the candidate sounds
-    ordered by ascending energy, equal energies by symbol index. Every
-    generator ranks its candidates through this one call."""
+    ordered by ascending energy, equal energies by symbol index. The growth
+    walks rank one prefix at a time through this call; branch-space
+    materialization ranks a whole column at once through the same cross sum,
+    to the same energies and order."""
     energies = next_sound_energies(m, prefix, base=base)
     return energies, np.argsort(energies, kind="stable").tolist()
 
@@ -208,9 +227,36 @@ def next_sound_distribution(
     return NextSoundDistribution(energies, weights / weights.sum(), float(beta))
 
 
-# Entries in one stacked (word-steps x d) array of the chain scorer: 2 MiB of
-# float64, so memory stays flat however long the lexicon.
+# Entries in one stacked (rows x d) array of the column and chain scorers:
+# 2 MiB of float64, so memory stays flat however long the lexicon or wide the
+# branch space.
 _BLOCK = 1 << 18
+
+
+def _ranked_columns(
+    m: InteractionModel, words: Sequence[Sequence[int]], bases: Sequence[float], width: int
+) -> Iterator[tuple[list[int], list[float]]]:
+    """For each word (all of one length) and its energy in `bases`: the
+    `width` (at most d) lowest-energy next sounds in rank order and their
+    boundary energies, each equal to what ranked_next_sounds gives.
+
+    Scored as one array program per block of words: one (words x d) cross
+    array summed by _cross_energies, one stable argsort along each row.
+    Counts d evaluations per word toward eval_count()."""
+    d = m.d
+    per_block = max(1, _BLOCK // max(1, d))
+    for lo in range(0, len(words), per_block):
+        block = words[lo : lo + per_block]
+        n = len(block)
+        k = min(m.r_max, len(block[0]))
+        tails = np.fromiter(
+            chain.from_iterable(w[len(w) - k :] for w in block), dtype=np.intp, count=n * k
+        ).reshape(n, k)
+        energies = _cross_energies(m, tails[:, ::-1].T, (n,))
+        energies += np.array(bases[lo : lo + per_block])[:, None]
+        order = np.argsort(energies, axis=1, kind="stable")[:, :width]
+        _count_evals(d * n)
+        yield from zip(order.tolist(), np.take_along_axis(energies, order, axis=1).tolist())
 
 
 def _log_chain_probabilities(
@@ -224,7 +270,6 @@ def _log_chain_probabilities(
     each row takes one max-shifted log-softmax. Each word's terms are then
     summed in step order, so every total equals the one-word chain bit for
     bit. Counts d evaluations per scored word-step toward eval_count()."""
-    global _EVALS
     d = m.d
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     longest = int(lengths.max(initial=0))
@@ -252,7 +297,7 @@ def _log_chain_probabilities(
         terms[block] = cross.take(np.arange(len(word)) * d + padded[word, step]) - norm
         for j in range(start, longest):
             totals[lo : lo + per_block] += terms[:, j]
-        _EVALS += d * len(word)
+        _count_evals(d * len(word))
     return totals
 
 
