@@ -15,6 +15,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -176,12 +177,11 @@ class Corpus:
     source: str = "<memory>"
 
     def __post_init__(self) -> None:
-        d = self.alphabet.d
-        for w in self.words:
-            if not w:
-                raise CorpusError("empty word in corpus")
-            if min(w) < 0 or max(w) >= d:
-                raise CorpusError("word with out-of-range symbol index")
+        if not all(self.words):
+            raise CorpusError("empty word in corpus")
+        used = set(chain.from_iterable(self.words))
+        if used and (min(used) < 0 or max(used) >= self.alphabet.d):
+            raise CorpusError("word with out-of-range symbol index")
 
     def surface_words(self) -> list[str]:
         # __post_init__ has range-checked every index, so no per-symbol check.

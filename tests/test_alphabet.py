@@ -1,10 +1,13 @@
+import os
 import subprocess
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import phonomem
 from phonomem import (
     Alphabet,
     Corpus,
@@ -188,6 +191,14 @@ def test_corpus_validation():
         Corpus(al, ((7,),))
 
 
+def test_empty_word_reported_before_an_out_of_range_index():
+    # Every word is checked for emptiness before any index is range-checked.
+    al = build_inventory(["ata"])
+    for words in (((7,), ()), ((), (7,)), ((0, -1), (1,), ())):
+        with pytest.raises(CorpusError, match="empty word"):
+            Corpus(al, words)
+
+
 def test_alphabet_rejects_duplicates_and_bad_digraphs():
     with pytest.raises(ValueError, match="duplicate"):
         Alphabet(("a", "a"))
@@ -219,6 +230,8 @@ def test_empty_digraph_spelling_rejected_before_splitting():
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
+    # The child imports the same package as this process, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(phonomem.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30)
+                          timeout=30, env=env)
     assert done.stdout == "empty symbol or digraph spelling\n"
