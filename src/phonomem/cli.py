@@ -15,6 +15,8 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .alphabet import Corpus, detokenize, load_corpus, load_embedded, tokenize
 from .errors import PhonomemError
 from .export import branch_to_dot, branch_to_json
@@ -54,6 +56,9 @@ def _lexicon(model, spec) -> Corpus:
 
 
 def _fmt(x: float) -> str:
+    """A printed number; an overflowed or undefined one is refused."""
+    if not math.isfinite(x):
+        raise ValueError(f"a result is not finite ({x}): inputs too large for float64")
     return f"{x:.12g}"
 
 
@@ -68,10 +73,11 @@ def cmd_train(args) -> int:
     model = train(corpus, cfg, r_max=args.r_max, g0=args.g0)
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     model = dataclasses.replace(model, meta={**model.meta, "created": created})
+    means = [_fmt(mean_interaction(model, r)) for r in range(1, model.r_max + 1)]
     save_model(model, args.out)
     print(f"d={model.d} r_max={model.r_max} words={len(corpus.words)} source={corpus.source}")
-    for r in range(1, model.r_max + 1):
-        print(f"mean_g({r})={_fmt(mean_interaction(model, r))}")
+    for r, mean in enumerate(means, 1):
+        print(f"mean_g({r})={mean}")
     print(f"decay={'ok' if verify_decay(model) else 'violated'}")
     print(f"wrote {args.out}")
     return 0
@@ -90,28 +96,23 @@ def cmd_inspect(args) -> int:
         "decay": verify_decay(model),
     }
     if args.reciprocal:
-        tensors = []
-        for r in range(model.r_max):
-            matrix = []
-            for row in model.g[r]:
-                matrix.append(
-                    ["div0" if model.g0 == v else 1.0 / (model.g0 - v) for v in row]
-                )
-            tensors.append(matrix)
+        # For finite doubles, g0 - g is 0 exactly when g == g0.
+        terms = (model.g0 - model.g).tolist()
+        tensors = [[["div0" if t == 0 else 1.0 / t for t in row] for row in m] for m in terms]
         payload["tensors"] = {"kind": "reciprocal", "g": tensors}
     else:
         payload["tensors"] = {"kind": "raw", "g": model.g.tolist()}
-    print(json.dumps(payload, ensure_ascii=False, indent=1))
+    print(json.dumps(payload, ensure_ascii=False, indent=1, allow_nan=False))
     return 0
 
 
 def cmd_energy(args) -> int:
     model = load_model(args.model)
     word = tokenize(args.word, model.alphabet)
-    print(f"energy={_fmt(word_energy(model, word))}")
+    lines = [f"energy={_fmt(word_energy(model, word))}"]
     if args.profile:
-        gaps = energy_profile(model, word)
-        print("profile: " + " ".join(_fmt(v) for v in gaps))
+        lines.append("profile: " + " ".join(map(_fmt, energy_profile(model, word))))
+    print(*lines, sep="\n")
     return 0
 
 
@@ -129,9 +130,8 @@ def cmd_generate(args) -> int:
     tau = math.inf if args.stop_tau is None else args.stop_tau
     policy = GibberishPolicy(len(prefix) + steps, args.p_next, args.seed, stop_tau=tau)
     word, gaps = gibberish(model, prefix, policy)
-    print(detokenize(word, model.alphabet))
-    print(f"energy={_fmt(word_energy(model, word))}")
-    print("profile: " + " ".join(_fmt(v) for v in gaps))
+    energy, profile = _fmt(word_energy(model, word)), " ".join(map(_fmt, gaps))
+    print(detokenize(word, model.alphabet), f"energy={energy}", f"profile: {profile}", sep="\n")
     return 0
 
 
@@ -140,6 +140,8 @@ def cmd_branch(args) -> int:
     prefix = tokenize(args.prefix, model.alphabet)
     space = enumerate_branch_space(model, prefix, args.right, args.down)
     lexicon = _lexicon(model, args.corpus)
+    if not all(math.isfinite(node.energy) for node in space.nodes()):
+        raise ValueError("branch energies are not finite: inputs too large for float64")
     if args.format == "dot":
         text = branch_to_dot(space, model.alphabet, lexicon.words)
     else:
@@ -157,8 +159,9 @@ def cmd_branch(args) -> int:
 def cmd_segment(args) -> int:
     model = load_model(args.model)
     word = tokenize(args.word, model.alphabet)
-    for part in segment(model, word, args.threshold):
-        print(f"{detokenize(part, model.alphabet)}\t{_fmt(word_energy(model, part))}")
+    parts = segment(model, word, args.threshold)
+    rows = [(detokenize(p, model.alphabet), _fmt(word_energy(model, p))) for p in parts]
+    sys.stdout.write("".join(f"{text}\t{energy}\n" for text, energy in rows))
     return 0
 
 
@@ -170,8 +173,7 @@ def cmd_predict(args) -> int:
     ranked = predict_completions(model, prefix, lexicon, beta=args.beta)
     if args.limit is not None:
         ranked = ranked[: args.limit]
-    for word, prob in ranked:
-        print(f"{detokenize(word, model.alphabet)}\t{_fmt(prob)}")
+    sys.stdout.write("".join(f"{detokenize(w, model.alphabet)}\t{_fmt(p)}\n" for w, p in ranked))
     return 0
 
 
@@ -283,7 +285,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every printed number is checked for overflow, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (PhonomemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

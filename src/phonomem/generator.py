@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .alphabet import Corpus, Word, _check_indices
@@ -43,9 +44,8 @@ def grow_greedy(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     w = tuple(prefix)
-    base = word_energy(m, w)
     for _ in range(steps):
-        energies, order = ranked_next_sounds(m, w, base=base)
+        order = ranked_next_sounds(m, w, base=0.0)[1]
         s = next((s for s in order if w + (s,) not in penalties), None)
         if s is None:
             raise SectorExhaustedError(
@@ -53,23 +53,23 @@ def grow_greedy(
                 f"{len(w)}-sound prefix are excluded"
             )
         w += (s,)
-        base = float(energies[s])
     return w
 
 
 def next_ranked(m: InteractionModel, prefix: Sequence[int], rank: int) -> int:
-    """Candidate sound with the (rank+1)-th smallest boundary energy after the
-    prefix; rank 0 is the greedy choice. Equal energies order by symbol index."""
+    """Candidate sound with the (rank+1)-th smallest cross term after the
+    prefix; rank 0 is the greedy choice. Equal terms order by symbol index."""
     if not 0 <= rank < m.d:
         raise ValueError(f"rank {rank} outside 0..{m.d - 1}")
-    return ranked_next_sounds(m, prefix)[1][rank]
+    return ranked_next_sounds(m, prefix, base=0.0)[1][rank]
 
 
 @dataclass(eq=False)
 class BranchNode:
-    """One word in the branching space. depth_down is its boundary-energy
-    rank among its same-length siblings (0 = ground); sibling energies are
-    nondecreasing in depth_down, ties ordered by symbol index."""
+    """One word in the branching space. depth_down is its rank among its
+    siblings (0 = ground), ordered by the cross term of its last sound alone,
+    ties by symbol index. energy is the parent's energy plus that cross term,
+    so sibling energies are nondecreasing in depth_down."""
 
     word: Word
     energy: float
@@ -108,13 +108,6 @@ class BranchSpace:
         self.prefix: Word = tuple(prefix)
         self.max_depth_right = max_depth_right
         self.max_depth_down = max_depth_down
-        self._columns: Optional[list[list[BranchNode]]] = None
-
-    @property
-    def columns(self) -> list[list[BranchNode]]:
-        if self._columns is None:
-            self._columns = self._materialize()
-        return self._columns
 
     @property
     def root(self) -> BranchNode:
@@ -124,22 +117,21 @@ class BranchSpace:
         for column in self.columns:
             yield from column
 
-    def _materialize(self) -> list[list[BranchNode]]:
+    @cached_property
+    def columns(self) -> list[list[BranchNode]]:
+        """The nodes, one list per word length, built on first use."""
         m = self.model
         root = BranchNode(self.prefix, word_energy(m, self.prefix), col=0, depth_down=0)
         columns = [[root]]
         frontier = [(root, self.max_depth_down - 1)]
         for col in range(1, self.max_depth_right + 1):
             grown: list[tuple[BranchNode, int]] = []
-            ranked = _ranked_columns(
-                m,
-                [node.word for node, _ in frontier],
-                [node.energy for node, _ in frontier],
-                width=max(budget for _, budget in frontier) + 1,
-            )
-            for (node, budget), (order, energies) in zip(frontier, ranked):
+            width = max(budget for _, budget in frontier) + 1
+            ranked = _ranked_columns(m, [node.word for node, _ in frontier], width)
+            for (node, budget), (order, cross) in zip(frontier, ranked):
                 for rank, s in enumerate(order[: budget + 1]):
-                    child = BranchNode(node.word + (s,), energies[rank], col, rank, node)
+                    energy = node.energy + cross[rank]
+                    child = BranchNode(node.word + (s,), energy, col, rank, node)
                     node.children_right.append(child)
                     grown.append((child, budget - rank))
             if not grown:
@@ -158,15 +150,15 @@ class BranchSpace:
         if w[: len(p)] != p or not 0 <= len(w) - len(p) <= self.max_depth_right:
             return None
         budget = self.max_depth_down - 1
-        base = word_energy(self.model, p)
+        energy = word_energy(self.model, p)
         last_rank = 0
         for k in range(len(p), len(w)):
-            energies, order = ranked_next_sounds(self.model, w[:k], base=base)
-            last_rank, base = order.index(w[k]), float(energies[w[k]])
+            cross, order = ranked_next_sounds(self.model, w[:k], base=0.0)
+            last_rank, energy = order.index(w[k]), energy + float(cross[w[k]])
             budget -= last_rank
             if budget < 0:
                 return None
-        return BranchNode(w, base, col=len(w) - len(p), depth_down=last_rank)
+        return BranchNode(w, energy, col=len(w) - len(p), depth_down=last_rank)
 
     def __contains__(self, word: Sequence[int]) -> bool:
         return self.find(word) is not None
@@ -214,15 +206,13 @@ def gibberish(
     output across runs and platforms."""
     rng = random.Random(policy.seed)
     w = tuple(prefix)
-    base = word_energy(m, w)
     while len(w) < policy.max_length:
         rank = 1 if (rng.random() < policy.p_next and m.d > 1) else 0
-        energies, order = ranked_next_sounds(m, w, base=base)
+        cross, order = ranked_next_sounds(m, w, base=0.0)
         s = order[rank]
-        if energies[s] - base > policy.stop_tau:
+        if cross[s] > policy.stop_tau:
             break
         w += (s,)
-        base = float(energies[s])
     return w, energy_profile(m, w)
 
 

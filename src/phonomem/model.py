@@ -86,14 +86,20 @@ class InteractionModel:
         if not math.isfinite(g0):
             raise ValueError(f"g0 must be finite, got {g0}")
         d = self.alphabet.d
-        g = np.array(self.g, dtype=np.float64)
-        if g.shape != (self.r_max, d, d):
-            raise ValueError(f"g must have shape {(self.r_max, d, d)}, got {g.shape}")
+        if np.shape(self.g) != (self.r_max, d, d):
+            raise ValueError(f"g must have shape {(self.r_max, d, d)}, got {np.shape(self.g)}")
+        # One private buffer, g plus a row d of g0 per range: index d reads as
+        # "no sound that far back", and its cross term g0 - g0 adds 0.0.
+        padded = np.empty((self.r_max, d + 1, d))
+        padded[:, :d] = self.g
+        padded[:, d] = g0
+        padded.setflags(write=False)
+        g = padded[:, :d]
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite interaction entries")
         if np.any(g < 0):
             raise ValueError("negative interaction entries")
-        g.setflags(write=False)
+        object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "meta", _freeze(self.meta))
@@ -163,11 +169,12 @@ def _cross_energies(
 ) -> np.ndarray:
     """Cross terms coupling each of the d candidate sounds to the sounds
     before it: back[r - 1] is the sound r places back, an int for one row or
-    an int array of `rows` entries for one row per entry. Ranges are summed
-    in r order, so a row equals its one-row case bit for bit."""
+    an int array of `rows` entries for one row per entry; index d means no
+    sound that far back and adds 0.0. Ranges are summed in r order, so a row
+    equals its one-row case bit for bit."""
     cross = np.zeros(rows + (m.d,))
     for r, s in enumerate(back, 1):
-        cross += m.g0 - m.g[r - 1][s]
+        cross += m.g0 - m._padded[r - 1][s]
     return cross
 
 
@@ -177,13 +184,10 @@ def next_sound_energies(
     """Boundary energy of prefix + s for each of the d candidate sounds s,
     computed as the prefix energy plus the candidate's cross terms: the pair
     terms coupling s to the last r_max sounds of the prefix (equal to the
-    concatenated word energy up to float summation order). This is the
-    one-row case of the column scorer that materializes a branch space.
+    concatenated word energy up to float summation order). `base` stands in
+    for the prefix energy; base=0 gives the cross terms alone.
 
-    Counts d evaluations toward eval_count(). Growth loops pass `base` (the
-    running prefix energy) to avoid re-deriving it every step; base=0 gives
-    the cross terms alone.
-    """
+    Counts d evaluations toward eval_count()."""
     _count_evals(m.d)
     cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
     return (word_energy(m, prefix) if base is None else base) + cross
@@ -193,12 +197,14 @@ def ranked_next_sounds(
     m: InteractionModel, prefix: Sequence[int], base: Optional[float] = None
 ) -> tuple[np.ndarray, list[int]]:
     """Candidate energies (as next_sound_energies) and the candidate sounds
-    ordered by ascending energy, equal energies by symbol index. The growth
-    walks rank one prefix at a time through this call; branch-space
-    materialization ranks a whole column at once through the same cross sum,
-    to the same energies and order."""
-    energies = next_sound_energies(m, prefix, base=base)
-    return energies, np.argsort(energies, kind="stable").tolist()
+    ordered by their cross terms alone, equal terms by symbol index. The
+    prefix energy shifts every candidate equally, so the order depends only
+    on the last r_max sounds of the prefix; every generator ranks by that
+    tail and adds the prefix energy only where it reports an energy."""
+    _count_evals(m.d)
+    cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
+    order = np.argsort(cross, kind="stable").tolist()
+    return (word_energy(m, prefix) if base is None else base) + cross, order
 
 
 def _check_beta(beta: float) -> None:
@@ -234,11 +240,12 @@ _BLOCK = 1 << 18
 
 
 def _ranked_columns(
-    m: InteractionModel, words: Sequence[Sequence[int]], bases: Sequence[float], width: int
+    m: InteractionModel, words: Sequence[Sequence[int]], width: int
 ) -> Iterator[tuple[list[int], list[float]]]:
-    """For each word (all of one length) and its energy in `bases`: the
-    `width` (at most d) lowest-energy next sounds in rank order and their
-    boundary energies, each equal to what ranked_next_sounds gives.
+    """For each word (all of one length): the `width` (at most d) next
+    sounds in rank order and their cross terms, each equal to what
+    ranked_next_sounds(m, word, base=0) gives. Callers add the energy of
+    the word where they report one.
 
     Scored as one array program per block of words: one (words x d) cross
     array summed by _cross_energies, one stable argsort along each row.
@@ -252,11 +259,10 @@ def _ranked_columns(
         tails = np.fromiter(
             chain.from_iterable(w[len(w) - k :] for w in block), dtype=np.intp, count=n * k
         ).reshape(n, k)
-        energies = _cross_energies(m, tails[:, ::-1].T, (n,))
-        energies += np.array(bases[lo : lo + per_block])[:, None]
-        order = np.argsort(energies, axis=1, kind="stable")[:, :width]
+        cross = _cross_energies(m, tails[:, ::-1].T, (n,))
+        order = np.argsort(cross, axis=1, kind="stable")[:, :width]
         _count_evals(d * n)
-        yield from zip(order.tolist(), np.take_along_axis(energies, order, axis=1).tolist())
+        yield from zip(order.tolist(), np.take_along_axis(cross, order, axis=1).tolist())
 
 
 def _log_chain_probabilities(
@@ -270,13 +276,14 @@ def _log_chain_probabilities(
     each row takes one max-shifted log-softmax. Each word's terms are then
     summed in step order, so every total equals the one-word chain bit for
     bit. Counts d evaluations per scored word-step toward eval_count()."""
-    d = m.d
+    d, r_max = m.d, m.r_max
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     longest = int(lengths.max(initial=0))
     position = np.arange(longest)
     inside = position < lengths[:, None]
-    padded = np.zeros((len(words), longest), dtype=np.intp)
-    padded[inside] = np.fromiter(
+    # r_max leading columns of index d: no sound that far back.
+    padded = np.full((len(words), r_max + longest), d, dtype=np.intp)
+    padded[:, r_max:][inside] = np.fromiter(
         chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
     )
     scored = inside & (position >= start)
@@ -286,15 +293,13 @@ def _log_chain_probabilities(
         block = scored[lo : lo + per_block]
         word, step = np.nonzero(block)  # row-major: each word's steps in order
         word += lo
-        cross = np.zeros((len(word), d))
-        for r in range(1, m.r_max + 1):
-            has = step >= r  # the steps with a sound r places back
-            cross[has] += (m.g0 - m.g[r - 1]).take(padded[word[has], step[has] - r], axis=0)
+        at = step + r_max  # each scored sound's column in padded
+        cross = _cross_energies(m, [padded[word, at - r] for r in range(1, r_max + 1)], at.shape)
         cross *= -beta
         cross -= np.maximum.reduce(cross, axis=1)[:, None]
         norm = np.log(np.add.reduce(np.exp(cross), axis=1))
         terms = np.zeros(block.shape)
-        terms[block] = cross.take(np.arange(len(word)) * d + padded[word, step]) - norm
+        terms[block] = cross.take(np.arange(len(word)) * d + padded[word, at]) - norm
         for j in range(start, longest):
             totals[lo : lo + per_block] += terms[:, j]
         _count_evals(d * len(word))

@@ -89,12 +89,15 @@ def models(latin, turkish, latin_model, turkish_model, toy_model):
         # Non-integer couplings, so a change in summation order shows.
         "latin_normalized": (latin, train(latin, TrainConfig(normalize="per-range-sum"))),
         "synth": (synth, train(synth)),
+        "turkish_r5": (turkish, train(turkish, r_max=5)),
         "untrained": (latin, InteractionModel.untrained(latin.alphabet)),
         "toy_ablated": (None, ablate(toy_model, [1])),
     }
 
 
-MODELS = ("latin", "turkish", "latin_normalized", "synth", "untrained", "toy_ablated")
+MODELS = (
+    "latin", "turkish", "latin_normalized", "synth", "untrained", "toy_ablated", "turkish_r5"
+)
 
 
 def _prefixes(corpus, m):

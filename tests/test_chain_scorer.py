@@ -52,13 +52,18 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+@pytest.fixture(scope="module")
+def turkish_r5(turkish):
+    return turkish, train(turkish, r_max=5)
+
+
 def _cases(request, name):
-    if name in ("synth", "latin_normalized"):
+    if name in ("synth", "latin_normalized", "turkish_r5"):
         return request.getfixturevalue(name)
     return request.getfixturevalue(name), request.getfixturevalue(f"{name}_model")
 
 
-@pytest.mark.parametrize("name", ["latin", "turkish", "synth", "latin_normalized"])
+@pytest.mark.parametrize("name", ["latin", "turkish", "synth", "latin_normalized", "turkish_r5"])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 60.0])
 def test_batch_scorer_is_bit_identical_to_the_word_loop(request, name, beta):
     corpus, model = _cases(request, name)

@@ -2,6 +2,8 @@
 (exit 1), unreadable or foreign input is a data error (exit 2), and neither
 escapes as a traceback."""
 
+import warnings
+
 import pytest
 
 from phonomem.cli import main
@@ -42,6 +44,8 @@ def paths(tmp_path_factory):
         (["train", "@latin", "{model}.out.json", "--g-init", "nan"], 1),
         (["train", "@latin", "{model}.out.json", "--g-init", "inf"], 1),
         (["segment", "{model}", "servus", "--threshold", "nan"], 1),
+        (["predict", "{model}", "serv", "--beta", "1e308"], 1),
+        (["train", "@latin", "{model}.out.json", "--g-init", "1e308"], 1),
     ],
 )
 def test_edge_exit_codes(paths, capsys, argv, code):
@@ -63,3 +67,32 @@ def test_edge_exit_codes(paths, capsys, argv, code):
 def test_foreign_lexicon_is_unknown_symbol(paths, capsys, argv):
     assert main([a.format(**paths) for a in argv]) == 2
     assert "unknown symbol" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def huge_g0(tmp_path_factory):
+    path = tmp_path_factory.mktemp("huge") / "huge.json"
+    assert main(["train", "@latin", str(path), "--g0", "1e308"]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "{model}", "servus", "--profile"],
+        ["generate", "{model}", "serv"],
+        # At a finite threshold every overflowed gap is rightly above it and
+        # the one-sound parts print 0; inf keeps the word whole.
+        ["segment", "{model}", "servus", "--threshold", "inf"],
+        ["predict", "{model}", "s"],
+        ["branch", "{model}", "s"],
+    ],
+)
+def test_overflowing_energies_exit_1_and_print_none(huge_g0, capsys, argv):
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(model=huge_g0) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

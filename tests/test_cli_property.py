@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phonomem.cli import main
 
-FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "2"])
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "2", "1e308"])
 INTS = st.integers(-3, 5)
 MODELS = st.sampled_from(["{model}", "{normalized}", "{nan_g0}", "{binary}", "{missing}"])
 CORPORA = st.sampled_from(["@latin", "@turkish", "@nope", "{binary}", "{missing}"])
