@@ -140,7 +140,7 @@ def cmd_branch(args) -> int:
     prefix = tokenize(args.prefix, model.alphabet)
     space = enumerate_branch_space(model, prefix, args.right, args.down)
     lexicon = _lexicon(model, args.corpus)
-    if not all(math.isfinite(node.energy) for node in space.nodes()):
+    if not all(np.isfinite(column.energy).all() for column in space.columns):
         raise ValueError("branch energies are not finite: inputs too large for float64")
     if args.format == "dot":
         text = branch_to_dot(space, model.alphabet, lexicon.words)

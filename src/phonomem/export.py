@@ -2,12 +2,15 @@
 
 Nodes are flagged against the training word list: an exact match is an
 input word, a proper prefix of one is a partial input word, and anything
-else is a pseudoword. Both formats come from one walk over the nodes.
+else is a pseudoword. Both formats come from one walk over the column
+arrays of the space; neither builds a BranchNode.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 from .alphabet import Alphabet, Word, detokenize
 from .generator import BranchSpace
@@ -16,9 +19,10 @@ _PSEUDO = "pseudoword"
 
 
 def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
-    """Word strings, ids and flags in `space.nodes()` order, and edges as
-    (source index, target index, down?) triples. Only input words that start
-    with the root prefix, as every node does, can match or extend a node."""
+    """Word strings, ids, flags and energies in `space.nodes()` order, and
+    edges as (source index, target index, down?) triples, read from the
+    column arrays without building nodes. Only input words that start with
+    the root prefix, as every node does, can match or extend a node."""
     p = space.prefix
     input_set = {w for w in map(tuple, input_words) if w[: len(p)] == p}
     flag_of = {
@@ -27,22 +31,26 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
     flag_of.update(dict.fromkeys(input_set, "input-word"))
     symbols = alphabet.symbols
     words, flags, edges = [detokenize(p, alphabet)], [flag_of.get(p, _PSEUDO)], []
+    if alphabet.d < space.model.d:  # raise the out-of-range error of the first node past it
+        detokenize(np.concatenate([c.symbol for c in space.columns[1:]]).tolist(), alphabet)
+    # Only flagged nodes and an empty root keep their sound tuple: a
+    # pseudoword with a flagged child would be a proper prefix, unless empty.
+    looked = {0: p} if flags[0] != _PSEUDO or not words[0] else {}
+    start = 0  # index of the previous column's first node
     # Each column lists every parent's children together in rank order, so a
     # child takes the next index and follows its rank k-1 sibling (k > 0).
-    try:
-        for i, node in enumerate(space.nodes()):
-            word = words[i]
-            # Were a pseudoword's child an input word or a proper prefix of
-            # one, the pseudoword would be a proper prefix, unless it is empty.
-            look = flags[i] != _PSEUDO or not word
-            for child in node.children_right:
-                j = len(words)
-                words.append(word + symbols[child.word[-1]])
-                flags.append(flag_of.get(child.word, _PSEUDO) if look else _PSEUDO)
-                edges.append((j - 1, j, True) if child.depth_down else (i, j, False))
-    except IndexError:  # an alphabet smaller than the model's
-        detokenize(child.word, alphabet)  # raises the out-of-range ValueError
-        raise
+    for column in space.columns[1:]:
+        first, parents = len(words), (column.parent + start).tolist()
+        syms, ranks = column.symbol.tolist(), column.rank.tolist()
+        words += [words[i] + symbols[s] for i, s in zip(parents, syms)]
+        flags += [_PSEUDO] * len(syms)
+        new = range(first, len(words))
+        edges += [(j - 1, j, True) if r else (i, j, False) for j, i, r in zip(new, parents, ranks)]
+        for j, i, s in zip(new, parents, syms):
+            if i in looked and flag_of.get(looked[i] + (s,), _PSEUDO) != _PSEUDO:
+                looked[j] = looked[i] + (s,)
+                flags[j] = flag_of[looked[j]]
+        start = first
     spelled = set(words)
     root_id = "."
     while root_id in spelled:
@@ -56,7 +64,8 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
                 copy += 1
                 ids[k] = f"{word}#{copy}"
             taken.add(ids[k])
-    return words, ids, flags, edges
+    energies = np.concatenate([column.energy for column in space.columns]).tolist()
+    return words, ids, flags, energies, edges
 
 
 def branch_to_json(
@@ -69,10 +78,11 @@ def branch_to_json(
     string already taken by an earlier node (two sound sequences can spell
     the same text when a symbol has several characters) gets the first
     '#2', '#3', ... suffix that no word spells and no node holds."""
-    words, ids, flags, edges = _walk(space, alphabet, input_words)
+    words, ids, flags, energies, edges = _walk(space, alphabet, input_words)
+    at = [(k, rank) for k, c in enumerate(space.columns) for rank in c.rank.tolist()]
     nodes = [
-        {"id": i, "word": w, "energy": n.energy, "col": n.col, "rank": n.depth_down, "flag": f}
-        for n, w, i, f in zip(space.nodes(), words, ids, flags)
+        {"id": i, "word": w, "energy": e, "col": k, "rank": r, "flag": f}
+        for w, i, e, (k, r), f in zip(words, ids, energies, at, flags)
     ]
     edges = [{"src": ids[s], "dst": ids[t], "kind": ("right", "down")[d]} for s, t, d in edges]
     return {"format": "branch-space", "version": 1, "nodes": nodes, "edges": edges}
@@ -92,13 +102,13 @@ def branch_to_dot(
     """DOT digraph: columns advance left to right (one rank group per word
     length, ordered within it by the energy as its label prints it, then by
     word); down edges are dashed."""
-    words, ids, flags, edges = _walk(space, alphabet, input_words)
+    words, ids, flags, energies, edges = _walk(space, alphabet, input_words)
     shown, names = words, ids
     # Words and ids are runs of symbols, dots and '#n' suffixes, so they
     # need escaping only when a symbol does.
     if any(c in s for s in alphabet.symbols for c in '\\"\n'):
         shown, names = list(map(_escape, words)), list(map(_escape, ids))
-    energies = [f"{node.energy:.6g}" for node in space.nodes()]
+    energies = [f"{e:.6g}" for e in energies]
     lines = ["digraph branch_space {", "  rankdir=LR;", '  node [fontname="monospace"];']
     start = 0
     for column in space.columns:

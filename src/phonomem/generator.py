@@ -15,13 +15,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Iterator, Optional, Sequence
 
+import numpy as np
+
+from . import model as _model
 from .alphabet import Corpus, Word, _check_indices
 from .errors import SectorExhaustedError
 from .model import (
     InteractionModel,
     _check_beta,
+    _count_evals,
+    _cross_energies,
     _log_chain_probabilities,
-    _ranked_columns,
     energy_profile,
     ranked_next_sounds,
     word_energy,
@@ -79,6 +83,24 @@ class BranchNode:
     children_right: list["BranchNode"] = field(default_factory=list, repr=False)
 
 
+class BranchColumn(Sequence[BranchNode]):
+    """The nodes of one word length as arrays: each node's `parent` (its
+    index in the previous column; -1 at the root), last `symbol`, `rank`
+    (depth_down) and `energy`. Nodes run parent-major, siblings in rank
+    order, so each parent's children are one contiguous run. Indexing builds
+    every BranchNode of the space, once; `len` and the arrays build none."""
+
+    def __init__(self, space: "BranchSpace", col: int, parent, symbol, rank, energy) -> None:
+        self._space, self._col = space, col
+        self.parent, self.symbol, self.rank, self.energy = parent, symbol, rank, energy
+
+    def __len__(self) -> int:
+        return len(self.energy)
+
+    def __getitem__(self, i):
+        return self._space._nodes[self._col][i]
+
+
 class BranchSpace:
     """Tree of prefixes reachable from a root by growth moves (right: append
     the lowest-energy next sound) and rank moves (down: re-solve the same
@@ -89,10 +111,11 @@ class BranchSpace:
     space holds every word with at most max_depth_right appended sounds and
     rank sum <= max_depth_down - 1; max_depth_down=1 is the bare greedy
     path. Membership (`find`) costs O(N d) candidate evaluations and never
-    builds the tree; `columns`/`nodes` materialize it on demand and grow
+    builds the tree; `columns` builds it on first use as arrays, one array
+    call per column at d candidate evaluations per expanded node, and grows
     combinatorially with max_depth_down, so keep depths modest when
-    exporting. Materialization scores one column per array call, at d
-    candidate evaluations per expanded node. Deterministic throughout.
+    exporting. BranchNode objects are made only on request (`root`, `nodes`,
+    indexing a column). Deterministic throughout.
     """
 
     def __init__(
@@ -118,27 +141,49 @@ class BranchSpace:
             yield from column
 
     @cached_property
-    def columns(self) -> list[list[BranchNode]]:
-        """The nodes, one list per word length, built on first use."""
-        m = self.model
-        root = BranchNode(self.prefix, word_energy(m, self.prefix), col=0, depth_down=0)
-        columns = [[root]]
-        frontier = [(root, self.max_depth_down - 1)]
+    def columns(self) -> list[BranchColumn]:
+        """The nodes, one column per word length, built on first use."""
+        m, d, p = self.model, self.model.d, self.prefix
+        energy = np.array([word_energy(m, p)])
+        budget = np.array([self.max_depth_down - 1])
+        # tails[r - 1]: each node's sound r places back; d: no sound that far back.
+        tails = [np.array([s]) for s in (p[::-1] + (d,) * m.r_max)[: m.r_max]]
+        columns = [BranchColumn(self, 0, np.array([-1]), np.array([-1]), np.array([0]), energy)]
+        per_block = max(1, _model._BLOCK // d)
         for col in range(1, self.max_depth_right + 1):
-            grown: list[tuple[BranchNode, int]] = []
-            width = max(budget for _, budget in frontier) + 1
-            ranked = _ranked_columns(m, [node.word for node, _ in frontier], width)
-            for (node, budget), (order, cross) in zip(frontier, ranked):
-                for rank, s in enumerate(order[: budget + 1]):
-                    energy = node.energy + cross[rank]
-                    child = BranchNode(node.word + (s,), energy, col, rank, node)
-                    node.children_right.append(child)
-                    grown.append((child, budget - rank))
-            if not grown:
-                break
-            columns.append([node for node, _ in grown])
-            frontier = grown
+            width = min(d, int(budget.max()) + 1)
+            grown = []
+            for lo in range(0, len(budget), per_block):
+                left = budget[lo : lo + per_block]
+                scored = _cross_energies(m, [t[lo : lo + per_block] for t in tails], left.shape)
+                # Equal terms rank by symbol index, as in a stable sort. A
+                # parent with no down budget left needs only its first sound:
+                # argmin's first minimum (no term is NaN: g0 and g are finite).
+                order = np.zeros((len(left), width), np.intp)
+                order[:, 0] = np.argmin(scored, axis=1)
+                wide = np.nonzero(left)[0]
+                order[wide] = np.argsort(scored[wide], axis=1, kind="stable")[:, :width]
+                parent, rank = np.nonzero(np.arange(width) <= left[:, None])
+                symbol = order[parent, rank]
+                grown.append((parent + lo, symbol, rank, scored[parent, symbol]))
+            _count_evals(d * len(budget))
+            parent, symbol, rank, cross = map(np.concatenate, zip(*grown))
+            energy = energy[parent] + cross
+            columns.append(BranchColumn(self, col, parent, symbol, rank, energy))
+            budget = budget[parent] - rank
+            tails = [symbol] + [t[parent] for t in tails[:-1]]
         return columns
+
+    @cached_property
+    def _nodes(self) -> list[list[BranchNode]]:
+        built = [[BranchNode(self.prefix, self.columns[0].energy.item(), 0, 0)]]
+        for col, c in enumerate(self.columns[1:], 1):
+            ups = [built[-1][i] for i in c.parent.tolist()]
+            arrays = zip(ups, c.symbol.tolist(), c.rank.tolist(), c.energy.tolist())
+            built.append([BranchNode(up.word + (s,), e, col, r, up) for up, s, r, e in arrays])
+            for node in built[-1]:
+                node.parent.children_right.append(node)
+        return built
 
     def find(self, word: Sequence[int]) -> Optional[BranchNode]:
         """The node holding this exact word, or None when it lies outside the

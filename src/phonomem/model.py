@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -237,32 +237,6 @@ def next_sound_distribution(
 # 2 MiB of float64, so memory stays flat however long the lexicon or wide the
 # branch space.
 _BLOCK = 1 << 18
-
-
-def _ranked_columns(
-    m: InteractionModel, words: Sequence[Sequence[int]], width: int
-) -> Iterator[tuple[list[int], list[float]]]:
-    """For each word (all of one length): the `width` (at most d) next
-    sounds in rank order and their cross terms, each equal to what
-    ranked_next_sounds(m, word, base=0) gives. Callers add the energy of
-    the word where they report one.
-
-    Scored as one array program per block of words: one (words x d) cross
-    array summed by _cross_energies, one stable argsort along each row.
-    Counts d evaluations per word toward eval_count()."""
-    d = m.d
-    per_block = max(1, _BLOCK // max(1, d))
-    for lo in range(0, len(words), per_block):
-        block = words[lo : lo + per_block]
-        n = len(block)
-        k = min(m.r_max, len(block[0]))
-        tails = np.fromiter(
-            chain.from_iterable(w[len(w) - k :] for w in block), dtype=np.intp, count=n * k
-        ).reshape(n, k)
-        cross = _cross_energies(m, tails[:, ::-1].T, (n,))
-        order = np.argsort(cross, axis=1, kind="stable")[:, :width]
-        _count_evals(d * n)
-        yield from zip(order.tolist(), np.take_along_axis(cross, order, axis=1).tolist())
 
 
 def _log_chain_probabilities(

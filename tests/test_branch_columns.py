@@ -41,8 +41,9 @@ def _reference_ranked(m, prefix, base):
 
 
 def _reference_columns(m, prefix, max_depth_right, max_depth_down):
-    """The per-node BranchSpace._materialize loop, one ranking per frontier
-    node. Returns the columns and the number of nodes it expanded."""
+    """The per-node loop that the array build of BranchSpace.columns
+    replaced, one ranking per frontier node. Returns the columns and the
+    number of nodes it expanded."""
     root = BranchNode(tuple(prefix), word_energy(m, tuple(prefix)), col=0, depth_down=0)
     columns = [[root]]
     frontier = [(root, max_depth_down - 1)]
