@@ -17,13 +17,12 @@ from typing import AbstractSet, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import model as _model
 from .alphabet import Corpus, Word, _check_indices
 from .errors import SectorExhaustedError
 from .model import (
     InteractionModel,
+    _blocks,
     _check_beta,
-    _count_evals,
     _cross_energies,
     _log_chain_probabilities,
     energy_profile,
@@ -48,6 +47,7 @@ def grow_greedy(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     w = tuple(prefix)
+    _check_indices(w, m.d)
     for _ in range(steps):
         order = ranked_next_sounds(m, w, base=0.0)[1]
         s = next((s for s in order if w + (s,) not in penalties), None)
@@ -65,6 +65,7 @@ def next_ranked(m: InteractionModel, prefix: Sequence[int], rank: int) -> int:
     prefix; rank 0 is the greedy choice. Equal terms order by symbol index."""
     if not 0 <= rank < m.d:
         raise ValueError(f"rank {rank} outside 0..{m.d - 1}")
+    _check_indices(prefix, m.d)
     return ranked_next_sounds(m, prefix, base=0.0)[1][rank]
 
 
@@ -115,7 +116,8 @@ class BranchSpace:
     call per column at d candidate evaluations per expanded node, and grows
     combinatorially with max_depth_down, so keep depths modest when
     exporting. BranchNode objects are made only on request (`root`, `nodes`,
-    indexing a column). Deterministic throughout.
+    indexing a column). Deterministic throughout. A prefix symbol index
+    outside 0..d-1 raises ValueError.
     """
 
     def __init__(
@@ -129,6 +131,7 @@ class BranchSpace:
             raise ValueError("depths must be >= 1")
         self.model = model
         self.prefix: Word = tuple(prefix)
+        _check_indices(self.prefix, model.d)
         self.max_depth_right = max_depth_right
         self.max_depth_down = max_depth_down
 
@@ -146,16 +149,15 @@ class BranchSpace:
         m, d, p = self.model, self.model.d, self.prefix
         energy = np.array([word_energy(m, p)])
         budget = np.array([self.max_depth_down - 1])
-        # tails[r - 1]: each node's sound r places back; d: no sound that far back.
-        tails = [np.array([s]) for s in (p[::-1] + (d,) * m.r_max)[: m.r_max]]
+        # tails[r - 1]: each node's sound r places back, for the r the word reaches.
+        tails = [np.array([s]) for s in p[: -m.r_max - 1 : -1]]
         columns = [BranchColumn(self, 0, np.array([-1]), np.array([-1]), np.array([0]), energy)]
-        per_block = max(1, _model._BLOCK // d)
         for col in range(1, self.max_depth_right + 1):
             width = min(d, int(budget.max()) + 1)
             grown = []
-            for lo in range(0, len(budget), per_block):
-                left = budget[lo : lo + per_block]
-                scored = _cross_energies(m, [t[lo : lo + per_block] for t in tails], left.shape)
+            for rows in _blocks(len(budget), d):
+                left = budget[rows]
+                scored = _cross_energies(m, [t[rows] for t in tails], left.shape)
                 # Equal terms rank by symbol index, as in a stable sort. A
                 # parent with no down budget left needs only its first sound:
                 # argmin's first minimum (no term is NaN: g0 and g are finite).
@@ -165,13 +167,12 @@ class BranchSpace:
                 order[wide] = np.argsort(scored[wide], axis=1, kind="stable")[:, :width]
                 parent, rank = np.nonzero(np.arange(width) <= left[:, None])
                 symbol = order[parent, rank]
-                grown.append((parent + lo, symbol, rank, scored[parent, symbol]))
-            _count_evals(d * len(budget))
+                grown.append((parent + rows.start, symbol, rank, scored[parent, symbol]))
             parent, symbol, rank, cross = map(np.concatenate, zip(*grown))
             energy = energy[parent] + cross
             columns.append(BranchColumn(self, col, parent, symbol, rank, energy))
             budget = budget[parent] - rank
-            tails = [symbol] + [t[parent] for t in tails[:-1]]
+            tails = ([symbol] + [t[parent] for t in tails])[: m.r_max]
         return columns
 
     @cached_property
@@ -251,6 +252,7 @@ def gibberish(
     output across runs and platforms."""
     rng = random.Random(policy.seed)
     w = tuple(prefix)
+    _check_indices(w, m.d)
     while len(w) < policy.max_length:
         rank = 1 if (rng.random() < policy.p_next and m.d > 1) else 0
         cross, order = ranked_next_sounds(m, w, base=0.0)

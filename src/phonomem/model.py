@@ -23,21 +23,15 @@ _EVALS = 0
 
 
 def reset_eval_count() -> None:
-    """Zero the candidate-evaluation counter (test instrumentation only;
-    not thread-safe)."""
+    """Zero the candidate-evaluation counter that _cross_energies adds to
+    (test instrumentation only; not thread-safe)."""
     global _EVALS
     _EVALS = 0
 
 
 def eval_count() -> int:
-    """Number of candidate boundary-energy evaluations since the last reset."""
+    """Candidate evaluations since the last reset, all counted in _cross_energies."""
     return _EVALS
-
-
-def _count_evals(n: int) -> None:
-    """Add n candidate evaluations to eval_count(); every scorer counts here."""
-    global _EVALS
-    _EVALS += n
 
 
 # A list of only these is copied in one step rather than item by item: model
@@ -171,7 +165,9 @@ def _cross_energies(
     before it: back[r - 1] is the sound r places back, an int for one row or
     an int array of `rows` entries for one row per entry; index d means no
     sound that far back and adds 0.0. Ranges are summed in r order, so a row
-    equals its one-row case bit for bit."""
+    equals its one-row case bit for bit. Adds d per row to eval_count()."""
+    global _EVALS
+    _EVALS += m.d * math.prod(rows)
     cross = np.zeros(rows + (m.d,))
     for r, s in enumerate(back, 1):
         cross += m.g0 - m._padded[r - 1][s]
@@ -188,7 +184,6 @@ def next_sound_energies(
     for the prefix energy; base=0 gives the cross terms alone.
 
     Counts d evaluations toward eval_count()."""
-    _count_evals(m.d)
     cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
     return (word_energy(m, prefix) if base is None else base) + cross
 
@@ -201,7 +196,6 @@ def ranked_next_sounds(
     prefix energy shifts every candidate equally, so the order depends only
     on the last r_max sounds of the prefix; every generator ranks by that
     tail and adds the prefix energy only where it reports an energy."""
-    _count_evals(m.d)
     cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
     order = np.argsort(cross, kind="stable").tolist()
     return (word_energy(m, prefix) if base is None else base) + cross, order
@@ -239,6 +233,13 @@ def next_sound_distribution(
 _BLOCK = 1 << 18
 
 
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices of range(rows), each max(1, _BLOCK // width) rows
+    or fewer, so a block's (rows x width) array stays near _BLOCK entries."""
+    step = max(1, _BLOCK // width)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _log_chain_probabilities(
     m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
 ) -> np.ndarray:
@@ -262,11 +263,10 @@ def _log_chain_probabilities(
     )
     scored = inside & (position >= start)
     totals = np.zeros(len(words))
-    per_block = max(1, _BLOCK // (d * max(1, longest - start)))
-    for lo in range(0, len(words), per_block):
-        block = scored[lo : lo + per_block]
+    for rows in _blocks(len(words), d * max(1, longest - start)):
+        block = scored[rows]
         word, step = np.nonzero(block)  # row-major: each word's steps in order
-        word += lo
+        word += rows.start
         at = step + r_max  # each scored sound's column in padded
         cross = _cross_energies(m, [padded[word, at - r] for r in range(1, r_max + 1)], at.shape)
         cross *= -beta
@@ -275,8 +275,7 @@ def _log_chain_probabilities(
         terms = np.zeros(block.shape)
         terms[block] = cross.take(np.arange(len(word)) * d + padded[word, at]) - norm
         for j in range(start, longest):
-            totals[lo : lo + per_block] += terms[:, j]
-        _count_evals(d * len(word))
+            totals[rows] += terms[:, j]
     return totals
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phonomem import (
+    BranchSpace,
     GibberishPolicy,
     SectorExhaustedError,
     ablate,
@@ -354,3 +355,17 @@ def test_segment_rejects_nan_threshold(turkish, turkish_model):
     w = tokenize("güzelkadın", turkish.alphabet)
     with pytest.raises(ValueError, match="threshold"):
         segment(turkish_model, w, float("nan"))
+
+
+@pytest.mark.parametrize("prefix", [(18,), (-1,), (19,), (0, 18), (0, -1)])
+@pytest.mark.parametrize("entry", ["BranchSpace", "grow_greedy", "gibberish", "next_ranked"])
+def test_growth_refuses_out_of_range_prefix_indices(latin_model, entry, prefix):
+    assert latin_model.d == 18
+    start = {
+        "BranchSpace": lambda: BranchSpace(latin_model, prefix, 2, 2),
+        "grow_greedy": lambda: grow_greedy(latin_model, prefix, 2),
+        "gibberish": lambda: gibberish(latin_model, prefix, GibberishPolicy(4)),
+        "next_ranked": lambda: next_ranked(latin_model, prefix, 0),
+    }[entry]
+    with pytest.raises(ValueError, match="out of range"):
+        start()

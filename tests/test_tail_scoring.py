@@ -18,7 +18,8 @@ from phonomem import (
     train,
     word_energy,
 )
-from phonomem.model import _cross_energies
+from phonomem import model as model_module
+from phonomem.model import _blocks, _cross_energies, eval_count, reset_eval_count
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import synth_words  # noqa: E402
@@ -82,3 +83,27 @@ def test_index_d_stands_for_no_sound_and_adds_zero(cases, name):
         assert [e.hex() for e in padded.tolist()] == [e.hex() for e in near.tolist()]
     rows = _cross_energies(m, [np.array([0, d]), np.array([d, d]), np.array([d, 1])], (2,))
     assert rows[1].tolist() == _cross_energies(m, [d, d, 1]).tolist()
+
+
+@pytest.mark.parametrize("rows, scored", [((), 1), ((5,), 5), ((0,), 0)])
+def test_cross_energies_counts_d_per_scored_row(latin_model, rows, scored):
+    m = latin_model
+    back = [np.zeros(rows, dtype=np.intp) if rows else 0] * m.r_max
+    reset_eval_count()
+    _cross_energies(m, back, rows)
+    assert eval_count() == m.d * scored
+    assert type(eval_count()) is int
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("block", ["1", "d", "3d+1"])
+def test_blocks_cover_rows_in_order_within_the_block_size(monkeypatch, latin_model, block, n):
+    d = latin_model.d
+    size = {"1": 1, "d": d, "3d+1": 3 * d + 1}[block]
+    monkeypatch.setattr(model_module, "_BLOCK", size)
+    for width in (1, d, 2 * d):
+        spans = [(b.start, b.stop, b.step) for b in _blocks(n, width)]
+        starts = [0] + [hi for _, hi, _ in spans]
+        assert [lo for lo, _, _ in spans] == starts[:-1] and starts[-1] == n
+        assert all(step is None for _, _, step in spans)
+        assert all(0 < hi - lo <= max(1, size // width) for lo, hi, _ in spans)
