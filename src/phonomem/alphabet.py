@@ -14,7 +14,6 @@ import hashlib
 import re
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -233,5 +232,9 @@ def load_embedded(name: str) -> Corpus:
         raise CorpusError(
             f"no embedded corpus {name!r}; available: {', '.join(EMBEDDED_CORPORA)}"
         )
+    # Imported here: only the embedded lists need it, and it costs the CLI
+    # start-up ~15 ms.
+    from importlib import resources
+
     text = resources.files("phonomem").joinpath(f"data/{name}.txt").read_text("utf-8")
     return parse_corpus(text.split("\n"), source=f"embedded:{name}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Optional, Sequence
@@ -63,9 +64,10 @@ def _thaw(value: Any) -> Any:
 @dataclass(frozen=True, eq=False)
 class InteractionModel:
     """Trained sound-interaction tensors: g0 plus one nonnegative d x d
-    matrix per range 1..r_max. Immutable after construction (meta is kept
-    as a deep read-only copy); all read operations are safe for concurrent
-    use."""
+    matrix per range 1..r_max. Immutable after construction (g is a private
+    read-only copy, meta a deep read-only copy); all read operations are
+    safe for concurrent use. The cross terms g0 - g are computed once, here,
+    into a read-only table that every scorer reads."""
 
     alphabet: Alphabet
     r_max: int
@@ -82,24 +84,29 @@ class InteractionModel:
         d = self.alphabet.d
         if np.shape(self.g) != (self.r_max, d, d):
             raise ValueError(f"g must have shape {(self.r_max, d, d)}, got {np.shape(self.g)}")
-        # One private buffer, g plus a row d of g0 per range: index d reads as
-        # "no sound that far back", and its cross term g0 - g0 adds 0.0.
-        padded = np.empty((self.r_max, d + 1, d))
-        padded[:, :d] = self.g
-        padded[:, d] = g0
-        padded.setflags(write=False)
-        g = padded[:, :d]
+        g = np.array(self.g, dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite interaction entries")
         if np.any(g < 0):
             raise ValueError("negative interaction entries")
-        object.__setattr__(self, "_padded", padded)
+        g.setflags(write=False)
+        # The cross terms g0 - g, plus a row d of 0.0 per range: index d reads
+        # as "no sound that far back". Summed onto 0.0, so a -0.0 term is
+        # stored as +0.0, as the scorers' own 0.0 start would make it.
+        terms = np.zeros((self.r_max, d + 1, d))
+        terms[:, :d] += g0 - g
+        terms.setflags(write=False)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "meta", _freeze(self.meta))
-        # Nested lists give ~20x faster scalar access than ndarray indexing
-        # in the per-pair loops below.
-        object.__setattr__(self, "_rows", g.tolist())
+
+    @cached_property
+    def _term_lists(self) -> list:
+        """The cross terms of real sounds as nested lists, ~20x faster than
+        ndarray indexing in the per-pair loops; built on first use, and two
+        threads racing on that build get equal lists."""
+        return self._terms[:, : self.d].tolist()
 
     @classmethod
     def untrained(
@@ -121,8 +128,7 @@ class InteractionModel:
 def word_energy(m: InteractionModel, w: Sequence[int]) -> float:
     """Total energy of a word: sum of (g0 - g(r)) couplings over all in-range
     ordered pairs, open boundaries."""
-    rows = m._rows
-    g0 = m.g0
+    rows = m._term_lists
     r_max = m.r_max
     n = len(w)
     total = 0.0
@@ -130,7 +136,7 @@ def word_energy(m: InteractionModel, w: Sequence[int]) -> float:
         top = min(r_max, n - 1 - x)
         row = w[x]
         for r in range(1, top + 1):
-            total += g0 - rows[r - 1][row][w[x + r]]
+            total += rows[r - 1][row][w[x + r]]
     return total
 
 
@@ -144,15 +150,14 @@ def energy_profile(m: InteractionModel, w: Sequence[int]) -> list[float]:
     """Local energy per gap (between positions x and x+1): each pair term
     (x', x'+r) is added to every one of the r gaps it spans. Words shorter
     than two sounds have an empty profile."""
-    rows = m._rows
-    g0 = m.g0
+    rows = m._term_lists
     n = len(w)
     gaps = [0.0] * max(0, n - 1)
     for x in range(n - 1):
         top = min(m.r_max, n - 1 - x)
         row = w[x]
         for r in range(1, top + 1):
-            term = g0 - rows[r - 1][row][w[x + r]]
+            term = rows[r - 1][row][w[x + r]]
             for k in range(x, x + r):
                 gaps[k] += term
     return gaps
@@ -164,13 +169,14 @@ def _cross_energies(
     """Cross terms coupling each of the d candidate sounds to the sounds
     before it: back[r - 1] is the sound r places back, an int for one row or
     an int array of `rows` entries for one row per entry; index d means no
-    sound that far back and adds 0.0. Ranges are summed in r order, so a row
-    equals its one-row case bit for bit. Adds d per row to eval_count()."""
+    sound that far back and reads the table's 0.0 row. Each range adds its
+    precomputed g0 - g row, in r order, so a row equals its one-row case bit
+    for bit. Adds d per row to eval_count()."""
     global _EVALS
     _EVALS += m.d * math.prod(rows)
     cross = np.zeros(rows + (m.d,))
     for r, s in enumerate(back, 1):
-        cross += m.g0 - m._padded[r - 1][s]
+        cross += m._terms[r - 1][s]
     return cross
 
 

@@ -1,7 +1,8 @@
 """Next-sound choices are determined by the tail: candidates rank by their
 cross terms with the last r_max sounds, so the prefix energy decides no
-order. Models keep their tensor as a private read-only copy, padded with a
-g0 row per range whose index stands for no sound and adds 0.0."""
+order. Models keep their tensor as a private read-only copy, and their
+cross terms in a table with a 0.0 row per range whose index stands for no
+sound and adds 0.0."""
 
 import sys
 from pathlib import Path
