@@ -96,9 +96,9 @@ def cmd_inspect(args) -> int:
         "decay": verify_decay(model),
     }
     if args.reciprocal:
-        # For finite doubles, g0 - g is 0 exactly when g == g0.
-        terms = (model.g0 - model.g).tolist()
-        tensors = [[["div0" if t == 0 else 1.0 / t for t in row] for row in m] for m in terms]
+        # The model's g0 - g table: a term is 0 (stored as +0.0) exactly when g == g0.
+        tensors = [[["div0" if t == 0 else 1.0 / t for t in row] for row in m]
+                   for m in model._term_lists]
         payload["tensors"] = {"kind": "reciprocal", "g": tensors}
     else:
         payload["tensors"] = {"kind": "raw", "g": model.g.tolist()}

@@ -233,9 +233,9 @@ def next_sound_distribution(
     return NextSoundDistribution(energies, weights / weights.sum(), float(beta))
 
 
-# Entries in one stacked (rows x d) array of the column and chain scorers:
-# 2 MiB of float64, so memory stays flat however long the lexicon or wide the
-# branch space.
+# Entries in one stacked (rows x d) array of the column and chain scorers,
+# whose rows are parent nodes and word-steps: 2 MiB of float64, so memory
+# stays flat however long the lexicon or wide the branch space.
 _BLOCK = 1 << 18
 
 
@@ -252,36 +252,31 @@ def _log_chain_probabilities(
     """Log chain probability of each word's sounds from position `start` on,
     each given the sounds before it; see log_chain_probability.
 
-    Scored as one array program: every scored word-step of a block of words
-    is one row of a (word-steps x d) array of candidate cross energies, and
-    each row takes one max-shifted log-softmax. Each word's terms are then
-    summed in step order, so every total equals the one-word chain bit for
-    bit. Counts d evaluations per scored word-step toward eval_count()."""
+    Scored as one row program, as BranchSpace.columns is: every scored
+    word-step is one row of a (word-steps x d) array of candidate cross
+    energies, and each row takes one max-shifted log-softmax. np.add.at is
+    unbuffered and adds in index order, so each word's terms are summed in
+    place in step order from 0.0, across block edges too, and every total
+    equals the one-word chain bit for bit. Counts d evaluations per scored
+    word-step toward eval_count()."""
     d, r_max = m.d, m.r_max
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    longest = int(lengths.max(initial=0))
-    position = np.arange(longest)
-    inside = position < lengths[:, None]
+    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
     # r_max leading columns of index d: no sound that far back.
-    padded = np.full((len(words), r_max + longest), d, dtype=np.intp)
+    padded = np.full((len(words), r_max + inside.shape[1]), d, dtype=np.intp)
     padded[:, r_max:][inside] = np.fromiter(
         chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
     )
-    scored = inside & (position >= start)
+    word, at = np.nonzero(inside[:, start:])  # row-major: each word's steps in order
+    at += start + r_max  # each scored sound's column in padded
     totals = np.zeros(len(words))
-    for rows in _blocks(len(words), d * max(1, longest - start)):
-        block = scored[rows]
-        word, step = np.nonzero(block)  # row-major: each word's steps in order
-        word += rows.start
-        at = step + r_max  # each scored sound's column in padded
-        cross = _cross_energies(m, [padded[word, at - r] for r in range(1, r_max + 1)], at.shape)
+    for rows in _blocks(len(word), d):
+        w, a = word[rows], at[rows]
+        cross = _cross_energies(m, [padded[w, a - r] for r in range(1, r_max + 1)], w.shape)
         cross *= -beta
         cross -= np.maximum.reduce(cross, axis=1)[:, None]
         norm = np.log(np.add.reduce(np.exp(cross), axis=1))
-        terms = np.zeros(block.shape)
-        terms[block] = cross.take(np.arange(len(word)) * d + padded[word, at]) - norm
-        for j in range(start, longest):
-            totals[rows] += terms[:, j]
+        np.add.at(totals, w, cross[np.arange(len(w)), padded[w, a]] - norm)
     return totals
 
 

@@ -206,6 +206,13 @@ def test_alphabet_rejects_duplicates_and_bad_digraphs():
         Alphabet(("a",), digraphs=(("ch", "c"),))
 
 
+def test_alphabet_membership_is_by_symbol():
+    al = Alphabet(("a", "ʃ"), digraphs=(("sh", "ʃ"),))
+    assert "a" in al and "ʃ" in al
+    # A digraph spelling is not itself a symbol.
+    assert "sh" not in al and "b" not in al and "" not in al
+
+
 @given(st.lists(st.integers(min_value=0, max_value=LATIN_D - 1), max_size=12))
 def test_word_round_trip_property(indices):
     al = load_embedded("latin").alphabet

@@ -109,3 +109,33 @@ def test_block_size_changes_no_total(monkeypatch, turkish, turkish_model):
         reset_eval_count()
         assert _bits(_log_chain_probabilities(turkish_model, words, 1, 1.0)) == _bits(whole)
         assert eval_count() == turkish_model.d * sum(len(w) - 1 for w in words)
+
+
+def test_prefix_that_is_a_lexicon_word_scores_exactly_zero(latin, latin_model):
+    words = sorted(set(latin.words), key=len)
+    prefix = next(w for w in words if sum(v[: len(w)] == w for v in words) > 1)
+    matches = [w for w in latin.words if w[: len(prefix)] == prefix]
+    assert prefix in matches and len(matches) > 1
+    expected = [_reference_log_chain(latin_model, prefix, w[len(prefix) :]) for w in matches]
+    got = _log_chain_probabilities(latin_model, matches, len(prefix), 1.0)
+    assert _bits(got) == _bits(expected)
+    assert _bits([got[matches.index(prefix)]]) == [(0.0).hex()]
+    ranked = predict_completions(latin_model, prefix, latin)
+    assert ranked[0] == (prefix, 1.0)
+
+
+def test_start_past_every_word_scores_nothing(turkish, turkish_model):
+    words = list(turkish.words)
+    start = max(map(len, words)) + 2
+    reset_eval_count()
+    got = _log_chain_probabilities(turkish_model, words, start, 1.0)
+    assert eval_count() == 0
+    assert _bits(got) == _bits([_reference_log_chain(turkish_model, w, ()) for w in words])
+    assert _bits(got) == [(0.0).hex()] * len(words)
+
+
+def test_empty_word_list(latin_model):
+    for start in (0, 3):
+        reset_eval_count()
+        got = _log_chain_probabilities(latin_model, [], start, 1.0)
+        assert got.shape == (0,) and eval_count() == 0

@@ -94,6 +94,24 @@ def test_model_empty_alphabet_names_file(tmp_path, latin_model_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: malformed model file: empty alphabet\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("not a model {", "not valid JSON"),
+     ('{"alphabet": ["a"], "r_max": 1}', "not a model file: missing format_version"),
+     ("[1, 2]", "not a model file: missing format_version")],
+)
+def test_file_that_is_no_model_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(bad)
+    capsys.readouterr()
+    assert main(["energy", str(bad), "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: {message}") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fail_at", ["write", "replace"])
 def test_save_model_failure_keeps_old_file(tmp_path, latin_model_path, monkeypatch, fail_at):
     model = load_model(latin_model_path)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -181,6 +182,22 @@ def test_branch_space_find_agrees_with_materialization(latin, latin_model):
     assert (prefix in fresh) and (too_long not in fresh)
 
 
+@pytest.mark.parametrize("depths", [(3, 1), (3, 2), (2, 4)])
+def test_branch_space_find_is_none_exactly_outside_the_nodes(
+    toy_model, latin_model, depths
+):
+    # Every word of at most `right` sounds over toy and over the first five
+    # Latin symbols: find runs out of rank budget on exactly the words that
+    # the materialized space leaves out.
+    right, down = depths
+    for model, symbols in ((toy_model, range(3)), (latin_model, range(5))):
+        space = enumerate_branch_space(model, (), right, down)
+        materialized = {node.word for node in space.nodes()}
+        words = [w for n in range(right + 1) for w in itertools.product(symbols, repeat=n)]
+        missing = {w for w in words if space.find(w) is None}
+        assert missing and missing == set(words) - materialized
+
+
 @pytest.mark.parametrize("word, bad", [((0, 99), 99), ((0, -1), -1)])
 def test_branch_space_find_rejects_out_of_range_index(latin_model, word, bad):
     space = enumerate_branch_space(latin_model, (), 4, 4)
@@ -269,6 +286,12 @@ def test_segment_threshold_extremes(turkish, turkish_model):
     assert segment(m0, w, 0.0) == [(s,) for s in w]
     with pytest.raises(ValueError):
         segment(turkish_model, w, -1.0)
+
+
+def test_segment_of_fewer_than_two_sounds(turkish_model):
+    assert segment(turkish_model, (), 0.0) == []
+    assert segment(turkish_model, (4,), 0.0) == [(4,)]
+    assert segment(turkish_model, [4], 1.0) == [(4,)]
 
 
 def test_segment_isolates_high_energy_region(turkish, turkish_model):
