@@ -14,6 +14,7 @@ import hashlib
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -167,15 +168,41 @@ def detokenize(word: Sequence[int], alphabet: Alphabet) -> str:
     return "".join(alphabet.symbols[i] for i in word)
 
 
+class Words(tuple):
+    """An immutable word list that compares, hashes, iterates and dumps to
+    JSON as the plain tuple of its words, and answers "which words start
+    with this prefix" from an index by first sound, built on first use."""
+
+    @cached_property
+    def _by_head(self) -> dict[Word, list[Word]]:
+        by_head: dict[Word, list[Word]] = {}
+        for w in self:
+            by_head.setdefault(w[:1], []).append(w)
+        return by_head
+
+    def starting_with(self, prefix: Sequence[int]) -> list[Word]:
+        """The words that start with `prefix`, in list order, duplicates
+        included; every word for an empty prefix."""
+        p = tuple(prefix)
+        if not p:
+            return list(self)
+        return [w for w in self._by_head.get(p[:1], ()) if w[: len(p)] == p]
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """A tokenized word list plus the alphabet it was ingested under."""
+    """A tokenized word list plus the alphabet it was ingested under. The
+    words are stored as a `Words` (each word a tuple), so a corpus is
+    immutable and hashable, and a prefix lookup reads only the words under
+    the prefix's first sound."""
 
     alphabet: Alphabet
-    words: tuple[Word, ...]
+    words: Words
     source: str = "<memory>"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.words, Words):
+            object.__setattr__(self, "words", Words(map(tuple, self.words)))
         if not all(self.words):
             raise CorpusError("empty word in corpus")
         used = set(chain.from_iterable(self.words))
@@ -208,7 +235,7 @@ def parse_corpus(
     for line in lines:
         for token in _split_tokens(line):
             words.append(tokenize(token, alphabet))
-    return Corpus(alphabet, tuple(words), source)
+    return Corpus(alphabet, Words(words), source)
 
 
 def load_corpus(path, digraph_table: Optional[Mapping[str, str]] = None) -> Corpus:

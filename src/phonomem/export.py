@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import Alphabet, Word, detokenize
+from .alphabet import Alphabet, Word, Words, detokenize
 from .generator import BranchSpace
 
 _PSEUDO = "pseudoword"
@@ -22,9 +22,13 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
     """Word strings, ids, flags and energies in `space.nodes()` order, and
     edges as (source index, target index, down?) triples, read from the
     column arrays without building nodes. Only input words that start with
-    the root prefix, as every node does, can match or extend a node."""
+    the root prefix, as every node does, can match or extend a node; a
+    `Words` (such as `Corpus.words`) serves them from its index, and any
+    other iterable is wrapped in one first."""
     p = space.prefix
-    input_set = {w for w in map(tuple, input_words) if w[: len(p)] == p}
+    if not isinstance(input_words, Words):
+        input_words = Words(map(tuple, input_words))
+    input_set = set(input_words.starting_with(p))
     flag_of = {
         w[:k]: "partial-input-word" for w in input_set for k in range(max(1, len(p)), len(w))
     }

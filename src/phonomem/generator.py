@@ -306,13 +306,14 @@ def predict_completions(
     probability of its continuation, descending; ties order by word. Ranking
     uses log-probabilities, so probabilities that underflow to 0.0 still
     order correctly. All matches are scored together as one array program,
-    each to the value log_chain_probability gives it. A prefix matching
-    nothing yields an empty list."""
+    each to the value log_chain_probability gives it. The words under the
+    prefix come from the lexicon's index by first sound (`Words`), built on
+    first use. A prefix matching nothing yields an empty list."""
     _check_beta(beta)
     if lexicon.alphabet.symbols != m.alphabet.symbols:
         raise ValueError("lexicon alphabet does not match the model alphabet")
     p = tuple(prefix)
-    matches = [w for w in lexicon.words if w[: len(p)] == p]
+    matches = lexicon.words.starting_with(p)
     logps = _log_chain_probabilities(m, matches, len(p), beta).tolist()
     scored = sorted(zip(matches, logps), key=lambda item: (-item[1], item[0]))
     return [(w, math.exp(logp)) for w, logp in scored]

@@ -74,9 +74,11 @@ def test_filtered_flags_equal_the_full_lexicon_reference(request, name):
             assert branch_to_json(space, corpus.alphabet, words) == want
             assert branch_to_json(space, corpus.alphabet, iter(words)) == want
             assert branch_to_json(space, corpus.alphabet, (list(w) for w in words)) == want
+            assert branch_to_json(space, corpus.alphabet, corpus.words) == want
             flags.update(n["flag"] for n in want["nodes"])
             dot = branch_to_dot(space, corpus.alphabet, (w for w in words))
             assert dot == branch_to_dot(space, corpus.alphabet, words)
+            assert dot == branch_to_dot(space, corpus.alphabet, corpus.words)
     if name != "synth":
         assert flags == {"input-word", "partial-input-word", "pseudoword"}
 
