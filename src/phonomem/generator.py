@@ -25,6 +25,7 @@ from .model import (
     _check_beta,
     _cross_energies,
     _log_chain_probabilities,
+    _next_cross,
     energy_profile,
     ranked_next_sounds,
     word_energy,
@@ -43,14 +44,18 @@ def grow_greedy(
 ) -> Word:
     """Append `steps` sounds, each the lowest-boundary-energy candidate whose
     resulting word is not excluded. Ties break to the lowest symbol index.
-    Evaluates all d candidates at every step."""
+    Evaluates all d candidates at every step; the candidates are sorted
+    only at a step whose first choice is excluded."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     w = tuple(prefix)
     _check_indices(w, m.d)
     for _ in range(steps):
-        order = ranked_next_sounds(m, w, base=0.0)[1]
-        s = next((s for s in order if w + (s,) not in penalties), None)
+        cross = _next_cross(m, w)
+        s = int(cross.argmin())  # a stable sort's first sound: no term is NaN
+        if w + (s,) in penalties:
+            order = np.argsort(cross, kind="stable").tolist()
+            s = next((s for s in order if w + (s,) not in penalties), None)
         if s is None:
             raise SectorExhaustedError(
                 f"sector exhausted: all {m.d} continuations of a "
@@ -65,7 +70,6 @@ def next_ranked(m: InteractionModel, prefix: Sequence[int], rank: int) -> int:
     prefix; rank 0 is the greedy choice. Equal terms order by symbol index."""
     if not 0 <= rank < m.d:
         raise ValueError(f"rank {rank} outside 0..{m.d - 1}")
-    _check_indices(prefix, m.d)
     return ranked_next_sounds(m, prefix, base=0.0)[1][rank]
 
 
@@ -188,8 +192,11 @@ class BranchSpace:
 
     def find(self, word: Sequence[int]) -> Optional[BranchNode]:
         """The node holding this exact word, or None when it lies outside the
-        depth budgets. Returned nodes are detached (no parent/child links).
-        A symbol index outside 0..d-1 raises ValueError."""
+        depth budgets. Each step counts the said sound's rank among the
+        candidates' cross terms as a stable sort ranks them (the smaller
+        terms, plus the equal ones at a lower symbol index) without sorting.
+        Returned nodes are detached (no parent/child links). A symbol index
+        outside 0..d-1 raises ValueError."""
         w = tuple(word)
         _check_indices(w, self.model.d)
         p = self.prefix
@@ -199,8 +206,10 @@ class BranchSpace:
         energy = word_energy(self.model, p)
         last_rank = 0
         for k in range(len(p), len(w)):
-            cross, order = ranked_next_sounds(self.model, w[:k], base=0.0)
-            last_rank, energy = order.index(w[k]), energy + float(cross[w[k]])
+            cross = _next_cross(self.model, w[:k])
+            c = cross[w[k]]
+            last_rank = int(np.count_nonzero(cross < c) + np.count_nonzero(cross[: w[k]] == c))
+            energy += float(c)
             budget -= last_rank
             if budget < 0:
                 return None
@@ -255,8 +264,10 @@ def gibberish(
     _check_indices(w, m.d)
     while len(w) < policy.max_length:
         rank = 1 if (rng.random() < policy.p_next and m.d > 1) else 0
-        cross, order = ranked_next_sounds(m, w, base=0.0)
-        s = order[rank]
+        cross = _next_cross(m, w)
+        # argmin is a stable sort's first sound (no term is NaN); only a
+        # rank-1 step sorts.
+        s = int(cross.argmin()) if rank == 0 else int(np.argsort(cross, kind="stable")[1])
         if cross[s] > policy.stop_tau:
             break
         w += (s,)

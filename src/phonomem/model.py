@@ -127,7 +127,9 @@ class InteractionModel:
 
 def word_energy(m: InteractionModel, w: Sequence[int]) -> float:
     """Total energy of a word: sum of (g0 - g(r)) couplings over all in-range
-    ordered pairs, open boundaries."""
+    ordered pairs, open boundaries. A symbol index outside 0..d-1 raises
+    ValueError."""
+    _check_indices(w, m.d)
     rows = m._term_lists
     r_max = m.r_max
     n = len(w)
@@ -149,7 +151,9 @@ def boundary_energy(m: InteractionModel, prefix: Sequence[int], rest: Sequence[i
 def energy_profile(m: InteractionModel, w: Sequence[int]) -> list[float]:
     """Local energy per gap (between positions x and x+1): each pair term
     (x', x'+r) is added to every one of the r gaps it spans. Words shorter
-    than two sounds have an empty profile."""
+    than two sounds have an empty profile. A symbol index outside 0..d-1
+    raises ValueError."""
+    _check_indices(w, m.d)
     rows = m._term_lists
     n = len(w)
     gaps = [0.0] * max(0, n - 1)
@@ -169,15 +173,28 @@ def _cross_energies(
     """Cross terms coupling each of the d candidate sounds to the sounds
     before it: back[r - 1] is the sound r places back, an int for one row or
     an int array of `rows` entries for one row per entry; index d means no
-    sound that far back and reads the table's 0.0 row. Each range adds its
-    precomputed g0 - g row, in r order, so a row equals its one-row case bit
-    for bit. Adds d per row to eval_count()."""
+    sound that far back and reads the table's 0.0 row. Each range's rows are
+    one gather from the precomputed g0 - g table. The sum starts from the
+    first two ranges' rows and adds the rest in r order; the table holds no
+    -0.0, so it equals a sum from 0.0 bit for bit, and a row equals its
+    one-row case. Adds d per row to eval_count()."""
     global _EVALS
     _EVALS += m.d * math.prod(rows)
-    cross = np.zeros(rows + (m.d,))
-    for r, s in enumerate(back, 1):
-        cross += m._terms[r - 1][s]
+    terms = m._terms
+    if len(back) < 2:
+        # A copy: the table is read-only, and the chain scorer scales its block in place.
+        return terms[0, back[0]].copy() if len(back) else np.zeros(rows + (m.d,))
+    cross = terms[0, back[0]] + terms[1, back[1]]
+    for r in range(2, len(back)):
+        cross += terms[r, back[r]]
     return cross
+
+
+def _next_cross(m: InteractionModel, prefix: Sequence[int]) -> np.ndarray:
+    """Cross terms of the d candidate next sounds after an index-checked
+    prefix: the terms coupling each candidate to the prefix's last r_max
+    sounds. Counts d evaluations toward eval_count()."""
+    return _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
 
 
 def next_sound_energies(
@@ -187,10 +204,12 @@ def next_sound_energies(
     computed as the prefix energy plus the candidate's cross terms: the pair
     terms coupling s to the last r_max sounds of the prefix (equal to the
     concatenated word energy up to float summation order). `base` stands in
-    for the prefix energy; base=0 gives the cross terms alone.
+    for the prefix energy; base=0 gives the cross terms alone. A symbol
+    index outside 0..d-1 raises ValueError.
 
     Counts d evaluations toward eval_count()."""
-    cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
+    _check_indices(prefix, m.d)
+    cross = _next_cross(m, prefix)
     return (word_energy(m, prefix) if base is None else base) + cross
 
 
@@ -200,9 +219,13 @@ def ranked_next_sounds(
     """Candidate energies (as next_sound_energies) and the candidate sounds
     ordered by their cross terms alone, equal terms by symbol index. The
     prefix energy shifts every candidate equally, so the order depends only
-    on the last r_max sounds of the prefix; every generator ranks by that
-    tail and adds the prefix energy only where it reports an energy."""
-    cross = _cross_energies(m, prefix[: -m.r_max - 1 : -1])  # nearest sound first
+    on the last r_max sounds of the prefix. Every generator picks by that
+    tail from the same cross terms (_next_cross), but takes only what it
+    needs of this order: greedy growth its first sound (argmin), gibberish
+    its first or second, and BranchSpace.find one sound's rank, counted.
+    A symbol index outside 0..d-1 raises ValueError."""
+    _check_indices(prefix, m.d)
+    cross = _next_cross(m, prefix)
     order = np.argsort(cross, kind="stable").tolist()
     return (word_energy(m, prefix) if base is None else base) + cross, order
 
