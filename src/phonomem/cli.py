@@ -170,9 +170,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     prefix = tokenize(args.prefix, model.alphabet)
     lexicon = _lexicon(model, args.lexicon)
-    ranked = predict_completions(model, prefix, lexicon, beta=args.beta)
-    if args.limit is not None:
-        ranked = ranked[: args.limit]
+    ranked = predict_completions(model, prefix, lexicon, beta=args.beta)[: args.limit]
     sys.stdout.write("".join(f"{detokenize(w, model.alphabet)}\t{_fmt(p)}\n" for w, p in ranked))
     return 0
 

@@ -291,12 +291,12 @@ def segment(m: InteractionModel, w: Sequence[int], threshold: float) -> list[Wor
 
     A cut severs every pair term spanning that gap, so the total energy of
     the parts equals the original energy minus the severed terms (each
-    counted once)."""
+    counted once). A symbol index outside 0..d-1 raises ValueError."""
     if not threshold >= 0:  # also rejects NaN, which would never cut
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     w = tuple(w)
-    if len(w) <= 1:
-        return [w] if w else []
+    if not w:
+        return []
     parts: list[Word] = []
     start = 0
     for i, gap_energy in enumerate(energy_profile(m, w)):
@@ -319,11 +319,13 @@ def predict_completions(
     order correctly. All matches are scored together as one array program,
     each to the value log_chain_probability gives it. The words under the
     prefix come from the lexicon's index by first sound (`Words`), built on
-    first use. A prefix matching nothing yields an empty list."""
+    first use. A prefix matching nothing yields an empty list; a prefix
+    symbol index outside 0..d-1 raises ValueError."""
     _check_beta(beta)
     if lexicon.alphabet.symbols != m.alphabet.symbols:
         raise ValueError("lexicon alphabet does not match the model alphabet")
     p = tuple(prefix)
+    _check_indices(p, m.d)
     matches = lexicon.words.starting_with(p)
     logps = _log_chain_probabilities(m, matches, len(p), beta).tolist()
     scored = sorted(zip(matches, logps), key=lambda item: (-item[1], item[0]))

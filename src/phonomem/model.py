@@ -51,23 +51,14 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-def _thaw(value: Any) -> Any:
-    """Plain JSON-ready copy of _freeze output: dicts and lists again."""
-    if isinstance(value, MappingProxyType):
-        return {k: _thaw(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        flat = _SCALARS.issuperset(map(type, value))
-        return list(value) if flat else list(map(_thaw, value))
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class InteractionModel:
     """Trained sound-interaction tensors: g0 plus one nonnegative d x d
     matrix per range 1..r_max. Immutable after construction (g is a private
     read-only copy, meta a deep read-only copy); all read operations are
     safe for concurrent use. The cross terms g0 - g are computed once, here,
-    into a read-only table that every scorer reads."""
+    into a read-only table that every scorer reads; the alphabet size d is
+    read once, here, into a plain attribute."""
 
     alphabet: Alphabet
     r_max: int
@@ -97,6 +88,7 @@ class InteractionModel:
         terms[:, :d] += g0 - g
         terms.setflags(write=False)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "meta", _freeze(self.meta))
@@ -119,10 +111,6 @@ class InteractionModel:
         """All-zero tensors: every sound pair sits at the g0 baseline."""
         d = alphabet.d
         return cls(alphabet, r_max, g0, np.zeros((r_max, d, d)), meta or {})
-
-    @property
-    def d(self) -> int:
-        return self.alphabet.d
 
 
 def word_energy(m: InteractionModel, w: Sequence[int]) -> float:

@@ -13,26 +13,20 @@ import json
 import os
 import threading
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .alphabet import Alphabet
 from .errors import CorpusError, ModelFormatError
-from .model import InteractionModel, _thaw
+from .model import InteractionModel
 
 FORMAT_VERSION = 1
 
 
 def model_to_dict(m: InteractionModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "alphabet": list(m.alphabet.symbols),
-        "digraphs": [list(kv) for kv in m.alphabet.digraphs],
-        "r_max": m.r_max,
-        "g0": m.g0,
-        "g": {"shape": list(m.g.shape), "data": m.g.reshape(-1).tolist()},
-        "meta": _thaw(m.meta),
-    }
+    """The saved file's content: the model's JSON text, parsed."""
+    return json.loads(_model_text(m))
 
 
 def model_from_dict(payload: dict) -> InteractionModel:
@@ -64,26 +58,37 @@ def model_from_dict(payload: dict) -> InteractionModel:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
 
 
+def _plain(value):
+    """JSON encoder hook: meta's read-only mappings are written as dicts."""
+    if isinstance(value, MappingProxyType):
+        return dict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dumps(value) -> str:
-    return json.dumps(value, ensure_ascii=False)
+    return json.dumps(value, ensure_ascii=False, default=_plain)
 
 
 def _model_text(m: InteractionModel) -> str:
-    """model_to_dict(m) as JSON text: one line per top-level key, and the
-    tensor data one row (last axis) per line. The pieces are joined once, so
-    the text is not copied again on its way to one string."""
-    parts: list[str] = []
-    for key, value in model_to_dict(m).items():
-        parts += [",\n " if parts else "{\n ", _dumps(key), ": "]
-        if key != "g":
-            parts.append(_dumps(value))
-            continue
-        data, width = value["data"], value["shape"][-1]
-        parts.append(f'{{"shape": {_dumps(value["shape"])}, "data": [\n  ')
-        for i in range(0, len(data), width):
-            parts += [_dumps(data[i : i + width])[1:-1], ",\n  "]
-        parts[-1] = "\n ]}"  # the last row takes no comma
-    parts.append("\n}\n")
+    """The model file: one line per top-level key, and the tensor data one
+    row (last axis) per line. Every field is written here, straight from the
+    model's tuples and read-only meta. The pieces are joined once, so the
+    text is not copied again on its way to one string."""
+    head = {
+        "format_version": FORMAT_VERSION,
+        "alphabet": m.alphabet.symbols,
+        "digraphs": m.alphabet.digraphs,
+        "r_max": m.r_max,
+        "g0": m.g0,
+    }
+    parts = ["{\n"]
+    for key, value in head.items():
+        parts += [" ", _dumps(key), ": ", _dumps(value), ",\n"]
+    parts.append(f' "g": {{"shape": {_dumps(m.g.shape)}, "data": [\n  ')
+    for row in m.g.reshape(-1, m.g.shape[-1]).tolist():
+        parts += [_dumps(row)[1:-1], ",\n  "]
+    parts[-1] = "\n ]},\n"  # the last row takes no comma
+    parts += [' "meta": ', _dumps(m.meta), "\n}\n"]
     return "".join(parts)
 
 

@@ -2,21 +2,23 @@
 
 The loss is the plain sum of word energies over the corpus. Its gradient
 with respect to each g entry is minus the corpus pair count at that range,
-a constant, so plain flow has the closed form
+a constant, so each step adds eta * counts(r) to g(r). The optional
+per-range-sum mode then rescales each g(r) to a fixed total mass T = d*d,
+which keeps entries comparable to g0 for inspection; entry orderings are
+unchanged in both modes. Both the step and the rescale keep the form
+g(r) = u*J + v*counts(r), with J the all-ones matrix, so one closed form
+for (u, v) trains every range in both modes. A range never rescaled (plain
+flow, zero timesteps, or M = 0 below) has
 
-    g(r) = g_init + eta * timesteps * counts(r)
+    u = g_init,  v = eta * timesteps
 
-which stays nonnegative because eta > 0, g_init >= 0 and counts >= 0. The
-optional per-range-sum mode rescales each g(r) to a fixed total mass
-T = d*d after every step, which keeps entries comparable to g0 for
-inspection; entry orderings are unchanged in both modes. Both the step and
-the rescale keep the form g(r) = u*J + v*counts(r), with J the all-ones
-matrix. With S = sum(counts(r)), the first step and rescale give
+which stays nonnegative because eta > 0, g_init >= 0 and counts >= 0.
+With S = sum(counts(r)), the first per-range-sum step and rescale give
 
     u1 = g_init*T/M,  v1 = eta*T/M,  M = g_init*T + eta*S
 
-(no rescale when M = 0). Every later step starts from mass T and maps
-u -> c*u, v -> c*(v + eta) with c = T/(T + eta*S), so after n steps
+Every later step starts from mass T and maps u -> c*u, v -> c*(v + eta)
+with c = T/(T + eta*S), so after n steps
 
     u = c^(n-1)*u1,  v = c^(n-1)*v1 + eta*(c + c^2 + ... + c^(n-1))
                        = c^(n-1)*v1 + (T/S)*(1 - c^(n-1))
@@ -99,12 +101,13 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     return PairCounts(counts)
 
 
-def _per_range_sum_scalars(total: float, target: float, cfg: TrainConfig) -> tuple[float, float]:
-    """(u, v) after cfg.timesteps per-range-sum steps on a range whose counts
-    sum to `total`, by the closed form in the module docstring."""
+def _flow_scalars(total: float, target: float, cfg: TrainConfig) -> tuple[float, float]:
+    """(u, v) after cfg.timesteps steps on a range whose counts sum to
+    `total`, by the closed form in the module docstring; plain flow is its
+    never-rescaled case."""
     n, eta = cfg.timesteps, cfg.eta
     mass = cfg.g_init * target + eta * total
-    if n == 0 or mass == 0.0:  # never rescaled
+    if cfg.normalize == "none" or n == 0 or mass == 0.0:  # never rescaled
         return cfg.g_init, eta * n
     u, v = cfg.g_init * (target / mass), eta * (target / mass)
     if total == 0.0:  # c == 1
@@ -126,14 +129,11 @@ def train(
     if not corpus.words:
         raise CorpusError("empty corpus")
     counts = count_pairs(corpus, r_max).counts.astype(np.float64)
-    if cfg.normalize == "none":
-        g = cfg.g_init + cfg.eta * cfg.timesteps * counts
-    else:
-        target = float(corpus.alphabet.d ** 2)
-        g = np.empty_like(counts)
-        for r in range(r_max):
-            u, v = _per_range_sum_scalars(float(counts[r].sum()), target, cfg)
-            g[r] = u + v * counts[r]
+    target = float(corpus.alphabet.d ** 2)
+    g = np.empty_like(counts)
+    for r in range(r_max):
+        u, v = _flow_scalars(float(counts[r].sum()), target, cfg)
+        g[r] = u + v * counts[r]
     words = corpus.surface_words()
     meta = {
         "train": asdict(cfg),

@@ -18,10 +18,12 @@ from phonomem import (
     enumerate_branch_space,
     gibberish,
     grow_greedy,
+    load_embedded,
     next_ranked,
     next_sound_distribution,
     next_sound_energies,
     parse_corpus,
+    predict_completions,
     ranked_next_sounds,
     segment,
     train,
@@ -175,10 +177,15 @@ def test_a_single_range_sum_is_a_writable_copy_and_no_range_is_zeros(latin, lati
         lambda m: energy_profile(m, (0, 1, 18)),
         lambda m: segment(m, (0, -1), 1.0),
         lambda m: next_ranked(m, (18,), 0),
+        lambda m: segment(m, (99,), 0.0),
+        lambda m: segment(m, (-1,), 0.0),
+        lambda m: predict_completions(m, (99,), load_embedded("latin")),
+        lambda m: predict_completions(m, (-1,), load_embedded("latin")),
     ],
     ids=[
         "word_energy", "ranked_base", "ranked", "energies_base", "energies",
         "distribution", "profile", "segment", "next_ranked",
+        "segment_one_high", "segment_one_negative", "predict_high", "predict_negative",
     ],
 )
 def test_primitives_reject_an_out_of_range_symbol_index(latin_model, call):

@@ -2,6 +2,7 @@
 `meta` on one line, read back bit-exactly; the older indented layout still
 loads."""
 
+import dataclasses
 import json
 
 import pytest
@@ -36,6 +37,45 @@ def test_saved_file_is_model_to_dict(tmp_path, model):
     text = path.read_text(encoding="utf-8")
     assert json.loads(text) == json.loads(json.dumps(model_to_dict(model)))
     assert_same_model(load_model(path), model)
+
+
+def _types(value):
+    """Every type in a nested value, containers included."""
+    if isinstance(value, dict):
+        return {dict}.union(*map(_types, value.keys()), *map(_types, value.values()))
+    if isinstance(value, (list, tuple)):
+        return {type(value)}.union(*map(_types, value))
+    return {type(value)}
+
+
+def test_saved_file_holds_each_field_as_plain_json(tmp_path):
+    corpus = parse_corpus(["shasa sha ashe"], digraph_table={"sh": "ʃ"})
+    m = train(corpus, r_max=2)
+    m = dataclasses.replace(m, meta={**m.meta, "nested": ((1, 2), ("a", {"b": (3, (4.5, None))}))})
+    path = tmp_path / "m.json"
+    save_model(m, path)
+    expected = {
+        "format_version": 1,
+        "alphabet": ["ʃ", "a", "s", "e"],
+        "digraphs": [["sh", "ʃ"]],
+        "r_max": 2,
+        "g0": 1.0,
+        "g": {"shape": [2, 4, 4], "data": m.g.reshape(-1).tolist()},
+        "meta": {
+            "train": {"eta": 1e-4, "timesteps": 10000, "g_init": 0.0, "normalize": "none"},
+            "corpus": {
+                "source": "<memory>",
+                "sha256": "9560ef92cb8a3955abcc32184892cc0d3eb45a4a830e7a9c5093004284e6525f",
+                "num_words": 3,
+                "d": 4,
+                "words": ["ʃasa", "ʃa", "aʃe"],
+            },
+            "nested": [[1, 2], ["a", {"b": [3, [4.5, None]]}]],
+        },
+    }
+    assert json.loads(path.read_text(encoding="utf-8")) == expected
+    assert model_to_dict(m) == expected
+    assert _types(model_to_dict(m)) <= {dict, list, str, int, float, type(None)}
 
 
 def test_one_tensor_row_per_line_and_meta_on_one_line(tmp_path, model):
