@@ -81,7 +81,7 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         if not self.symbols:
-            raise CorpusError("empty corpus")
+            raise ValueError("empty alphabet")
         spellings = dict(self.digraphs)
         spellings.update({s: s for s in self.symbols})
         _check_spellings(spellings)
@@ -112,11 +112,11 @@ class Alphabet:
         return symbol in self._index
 
 
-def build_inventory(
-    lines: Iterable[str], digraph_table: Optional[Mapping[str, str]] = None
-) -> Alphabet:
-    """Collect every distinct symbol over the input lines, in first-appearance
-    order. Lines starting with '#' are comments; commas count as whitespace."""
+def _read_tokens(
+    lines: Iterable[str], digraph_table: Optional[Mapping[str, str]]
+) -> tuple[Alphabet, list[str]]:
+    """One pass over the lines: the alphabet of `build_inventory`, and every
+    token of the lines, normalized, in order."""
     digraphs = dict(digraph_table or {})
     _check_spellings(digraphs)
     texts: list[str] = []
@@ -129,13 +129,21 @@ def build_inventory(
         # With no digraphs and no combining mark, _split yields each character.
         chars = dict.fromkeys("".join(texts))
         if not any(map(unicodedata.combining, chars)):
-            return Alphabet(tuple(chars))
+            return Alphabet(tuple(chars)), texts
     lengths = sorted({len(k) for k in digraphs}, reverse=True)
     seen: dict[str, None] = {}
     for text in texts:
         for _, symbol in _split(text, digraphs, lengths):
             seen.setdefault(symbol)
-    return Alphabet(tuple(seen), tuple(digraphs.items()))
+    return Alphabet(tuple(seen), tuple(digraphs.items())), texts
+
+
+def build_inventory(
+    lines: Iterable[str], digraph_table: Optional[Mapping[str, str]] = None
+) -> Alphabet:
+    """Collect every distinct symbol over the input lines, in first-appearance
+    order. Lines starting with '#' are comments; commas count as whitespace."""
+    return _read_tokens(lines, digraph_table)[0]
 
 
 def tokenize(text: str, alphabet: Alphabet) -> Word:
@@ -229,13 +237,8 @@ def parse_corpus(
     source: str = "<memory>",
     digraph_table: Optional[Mapping[str, str]] = None,
 ) -> Corpus:
-    lines = list(lines)
-    alphabet = build_inventory(lines, digraph_table)
-    words = []
-    for line in lines:
-        for token in _split_tokens(line):
-            words.append(tokenize(token, alphabet))
-    return Corpus(alphabet, Words(words), source)
+    alphabet, texts = _read_tokens(lines, digraph_table)
+    return Corpus(alphabet, Words([tokenize(t, alphabet) for t in texts]), source)
 
 
 def load_corpus(path, digraph_table: Optional[Mapping[str, str]] = None) -> Corpus:

@@ -13,12 +13,13 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Mapping
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .alphabet import Corpus, detokenize, load_corpus, load_embedded, tokenize
-from .errors import PhonomemError
+from .errors import ModelFormatError, PhonomemError
 from .export import branch_to_dot, branch_to_json
 from .generator import (
     GibberishPolicy,
@@ -47,11 +48,19 @@ def _corpus_arg(spec: str) -> Corpus:
 
 def _lexicon(model, spec) -> Corpus:
     """The words of corpus `spec` (default: the model's training words),
-    tokenized under the model's alphabet; an unknown sound is a data error."""
+    tokenized under the model's alphabet; an unknown sound, or training words
+    that are not a list of strings, is a data error."""
     if spec:
         words = _corpus_arg(spec).surface_words()
     else:
-        words = model.meta.get("corpus", {}).get("words", [])
+        corpus = model.meta.get("corpus", {})
+        if not isinstance(corpus, Mapping):
+            raise ModelFormatError("malformed model file: meta.corpus is not an object")
+        words = corpus.get("words", ())
+        # meta is a frozen copy, so a JSON list reads back as a tuple.
+        if not isinstance(words, tuple) or not all(isinstance(w, str) for w in words):
+            raise ModelFormatError("malformed model file: meta.corpus.words is not "
+                                   "a list of strings")
     return Corpus(model.alphabet, tuple(tokenize(w, model.alphabet) for w in words))
 
 

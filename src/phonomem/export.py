@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import Alphabet, Word, Words, detokenize
+from .alphabet import Alphabet, Word, Words, _check_indices, detokenize
 from .generator import BranchSpace
 
 _PSEUDO = "pseudoword"
@@ -36,7 +36,7 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
     symbols = alphabet.symbols
     words, flags, edges = [detokenize(p, alphabet)], [flag_of.get(p, _PSEUDO)], []
     if alphabet.d < space.model.d:  # raise the out-of-range error of the first node past it
-        detokenize(np.concatenate([c.symbol for c in space.columns[1:]]).tolist(), alphabet)
+        _check_indices(np.concatenate([c.symbol for c in space.columns[1:]]).tolist(), alphabet.d)
     # Only flagged nodes and an empty root keep their sound tuple: a
     # pseudoword with a flagged child would be a proper prefix, unless empty.
     looked = {0: p} if flags[0] != _PSEUDO or not words[0] else {}

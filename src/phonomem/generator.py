@@ -219,15 +219,7 @@ class BranchSpace:
         return self.find(word) is not None
 
 
-def enumerate_branch_space(
-    m: InteractionModel,
-    prefix: Sequence[int],
-    max_depth_right: int,
-    max_depth_down: int,
-) -> BranchSpace:
-    """Branching space of prefixes reachable from `prefix` within the given
-    growth depth and down-rank budget; see BranchSpace."""
-    return BranchSpace(m, prefix, max_depth_right, max_depth_down)
+enumerate_branch_space = BranchSpace
 
 
 @dataclass(frozen=True)
@@ -280,8 +272,8 @@ def detect_steady_state(w: Sequence[int], window: int) -> Optional[int]:
     if window < 1:
         raise ValueError("window must be >= 1")
     w = tuple(w)
-    for p in range(1, window + 1):
-        if len(w) >= 2 * p and w[-2 * p : -p] == w[-p:]:
+    for p in range(1, min(window, len(w) // 2) + 1):
+        if w[-2 * p : -p] == w[-p:]:
             return p
     return None
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .alphabet import Alphabet
-from .errors import CorpusError, ModelFormatError
+from .errors import ModelFormatError
 from .model import InteractionModel
 
 FORMAT_VERSION = 1
@@ -45,15 +45,16 @@ def model_from_dict(payload: dict) -> InteractionModel:
         )
         shape = tuple(payload["g"]["shape"])
         tensors = np.array(payload["g"]["data"], dtype=np.float64).reshape(shape)
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
         return InteractionModel(
             alphabet,
             int(payload["r_max"]),
             float(payload["g0"]),
             tensors,
-            dict(payload.get("meta", {})),
+            meta,
         )
-    except CorpusError as exc:  # the only CorpusError of Alphabet: no symbols
-        raise ModelFormatError("malformed model file: empty alphabet") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
 
@@ -110,12 +111,12 @@ def save_model(m: InteractionModel, path) -> None:
 
 def load_model(path) -> InteractionModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return model_from_dict(payload)
+    except RecursionError as exc:  # parsing or freezing a value nested too deep
+        raise ModelFormatError(f"{path}: malformed model file: nested too deeply") from exc
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc

@@ -2,10 +2,13 @@
 (exit 1), unreadable or foreign input is a data error (exit 2), and neither
 escapes as a traceback."""
 
+import json
 import warnings
+from pathlib import Path
 
 import pytest
 
+from phonomem import ModelFormatError, load_model
 from phonomem.cli import main
 
 
@@ -96,3 +99,46 @@ def test_overflowing_energies_exit_1_and_print_none(huge_g0, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"corpus": [1]},
+        {"corpus": None},
+        {"corpus": {"words": [1, 2]}},
+        {"corpus": {"words": "servus"}},
+        [],
+    ],
+    ids=["corpus-list", "corpus-null", "words-ints", "words-string", "meta-list"],
+)
+@pytest.mark.parametrize("command", ["predict", "branch"])
+def test_malformed_meta_corpus_is_data_error(paths, tmp_path, capsys, meta, command):
+    payload = json.loads(Path(paths["model"]).read_text(encoding="utf-8"))
+    payload["meta"] = meta
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, str(bad), "s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "malformed model file" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["deep-array", "deep-meta"])
+def test_over_nested_model_file_is_data_error(paths, tmp_path, capsys, kind):
+    if kind == "deep-array":
+        text = "[" * 200_000
+    else:
+        text = Path(paths["model"]).read_text(encoding="utf-8")
+        text = text[: text.rindex('"meta": ')] + '"meta": {"x": ' + "[" * 995 + "]" * 995 + "}\n}\n"
+    bad = tmp_path / "deep.json"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        load_model(bad)
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: malformed model file: nested too deeply\n"

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phonomem
 from phonomem import (
     BranchSpace,
     GibberishPolicy,
@@ -269,6 +274,20 @@ def test_detect_steady_state_basic():
     assert detect_steady_state((0,), 4) is None
     with pytest.raises(ValueError):
         detect_steady_state(w, 0)
+
+
+def test_detect_steady_state_stops_at_half_the_word():
+    # Only periods up to half the word fit; a loop to `window` would run for
+    # minutes, so the call runs in a child process that a timeout can stop.
+    code = (
+        "from phonomem import detect_steady_state\n"
+        "print(detect_steady_state(tuple(range(10)), 10**10))\n"
+    )
+    # The child imports the same package as this process, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(phonomem.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert done.stdout == "None\n"
 
 
 def test_greedy_turkish_reaches_steady_state(turkish, turkish_model):

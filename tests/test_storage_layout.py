@@ -98,3 +98,14 @@ def test_indented_layout_still_loads(tmp_path, model):
     text = json.dumps(model_to_dict(model), ensure_ascii=False, indent=1) + "\n"
     path.write_text(text, encoding="utf-8")
     assert_same_model(load_model(path), model)
+
+
+def test_failed_save_keeps_earlier_file(tmp_path, model):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    bad = dataclasses.replace(model, meta={**model.meta, "tags": {"a", "b"}})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        save_model(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
