@@ -188,9 +188,9 @@ def cmd_explore(args) -> int:
     model = load_model(args.model)
     word = tokenize(args.prefix, model.alphabet)
     while True:
-        print(f"word: {detokenize(word, model.alphabet) or '(empty)'}  "
-              f"energy={_fmt(word_energy(model, word))}")
-        energies, order = ranked_next_sounds(model, word)
+        energy = word_energy(model, word)
+        print(f"word: {detokenize(word, model.alphabet) or '(empty)'}  energy={_fmt(energy)}")
+        energies, order = ranked_next_sounds(model, word, base=energy)
         for rank, s in enumerate(order):
             print(f"  {rank}) {model.alphabet.symbols[s]}  {_fmt(energies[s])}")
         try:

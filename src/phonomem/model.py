@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class InteractionModel:
     @cached_property
     def _term_lists(self) -> list:
         """The cross terms of real sounds as nested lists, ~20x faster than
-        ndarray indexing in the per-pair loops; built on first use, and two
+        ndarray indexing in the pair walk; built on first use, and two
         threads racing on that build get equal lists."""
         return self._terms[:, : self.d].tolist()
 
@@ -113,20 +113,26 @@ class InteractionModel:
         return cls(alphabet, r_max, g0, np.zeros((r_max, d, d)), meta or {})
 
 
+def _pair_terms(m: InteractionModel, w: Sequence[int]) -> Iterator[tuple[int, int, float]]:
+    """Each in-range ordered pair (x, x + r) of the word as (x, r, term), with
+    term = g0 - g(r)[w[x], w[x + r]]: x ascending, then r. The one reader of
+    the nested term lists. A symbol index outside 0..d-1 raises ValueError."""
+    _check_indices(w, m.d)
+    rows = m._term_lists
+    n = len(w)
+    for x in range(n - 1):
+        row = w[x]
+        for r in range(1, min(m.r_max, n - 1 - x) + 1):
+            yield x, r, rows[r - 1][row][w[x + r]]
+
+
 def word_energy(m: InteractionModel, w: Sequence[int]) -> float:
     """Total energy of a word: sum of (g0 - g(r)) couplings over all in-range
     ordered pairs, open boundaries. A symbol index outside 0..d-1 raises
     ValueError."""
-    _check_indices(w, m.d)
-    rows = m._term_lists
-    r_max = m.r_max
-    n = len(w)
     total = 0.0
-    for x in range(n - 1):
-        top = min(r_max, n - 1 - x)
-        row = w[x]
-        for r in range(1, top + 1):
-            total += rows[r - 1][row][w[x + r]]
+    for _, _, term in _pair_terms(m, w):
+        total += term
     return total
 
 
@@ -141,17 +147,10 @@ def energy_profile(m: InteractionModel, w: Sequence[int]) -> list[float]:
     (x', x'+r) is added to every one of the r gaps it spans. Words shorter
     than two sounds have an empty profile. A symbol index outside 0..d-1
     raises ValueError."""
-    _check_indices(w, m.d)
-    rows = m._term_lists
-    n = len(w)
-    gaps = [0.0] * max(0, n - 1)
-    for x in range(n - 1):
-        top = min(m.r_max, n - 1 - x)
-        row = w[x]
-        for r in range(1, top + 1):
-            term = rows[r - 1][row][w[x + r]]
-            for k in range(x, x + r):
-                gaps[k] += term
+    gaps = [0.0] * max(0, len(w) - 1)
+    for x, r, term in _pair_terms(m, w):
+        for k in range(x, x + r):
+            gaps[k] += term
     return gaps
 
 

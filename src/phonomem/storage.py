@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from array import array
 from pathlib import Path
 from types import MappingProxyType
 
@@ -39,24 +40,45 @@ def model_from_dict(payload: dict) -> InteractionModel:
             f"this build reads version {FORMAT_VERSION}"
         )
     try:
+        _check_types(payload)
         alphabet = Alphabet(
             tuple(payload["alphabet"]),
             tuple((k, v) for k, v in payload.get("digraphs", [])),
         )
         shape = tuple(payload["g"]["shape"])
-        tensors = np.array(payload["g"]["data"], dtype=np.float64).reshape(shape)
-        meta = payload.get("meta", {})
-        if not isinstance(meta, dict):
-            raise TypeError("meta is not an object")
+        # array("d") takes numbers only (a bool as 0 or 1), where numpy would
+        # also parse numeric strings, and costs no per-item type check.
+        tensors = np.frombuffer(array("d", payload["g"]["data"])).reshape(shape)
         return InteractionModel(
-            alphabet,
-            int(payload["r_max"]),
-            float(payload["g0"]),
-            tensors,
-            meta,
+            alphabet, payload["r_max"], payload["g0"], tensors, payload.get("meta", {})
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
+    except RecursionError as exc:  # freezing a meta nested too deep
+        raise ModelFormatError("malformed model file: nested too deeply") from exc
+
+
+def _list_of(value, types: set) -> bool:
+    """Whether value is a list whose items each have one of these types."""
+    return type(value) is list and types.issuperset(map(type, value))
+
+
+def _check_types(payload: dict) -> None:
+    """Refuse, rather than convert, a field of the wrong JSON type: a bool is
+    not a number, nor a string a list of its characters. meta's items go
+    unchecked: meta carries the whole training word list."""
+    digraphs = payload.get("digraphs", [])
+    checks = {
+        "r_max is not an integer": type(payload["r_max"]) is int,
+        "g0 is not a number": type(payload["g0"]) in (int, float),
+        "alphabet is not a list of strings": _list_of(payload["alphabet"], {str}),
+        "digraphs is not a list of string pairs": _list_of(digraphs, {list})
+        and all(len(pair) == 2 and _list_of(pair, {str}) for pair in digraphs),
+        "meta is not an object": isinstance(payload.get("meta", {}), dict),
+    }
+    for message, ok in checks.items():
+        if not ok:
+            raise TypeError(message)
 
 
 def _plain(value):
@@ -116,7 +138,7 @@ def load_model(path) -> InteractionModel:
         raise ModelFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # parsing or freezing a value nested too deep
+    except RecursionError as exc:  # parsing a value nested too deep
         raise ModelFormatError(f"{path}: malformed model file: nested too deeply") from exc
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc

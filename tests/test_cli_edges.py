@@ -10,6 +10,7 @@ import pytest
 
 from phonomem import ModelFormatError, load_model
 from phonomem.cli import main
+from phonomem.storage import model_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +143,49 @@ def test_over_nested_model_file_is_data_error(paths, tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: malformed model file: nested too deeply\n"
+
+
+def _r_max_true(payload):
+    payload["r_max"] = True
+    payload["g"]["shape"][0] = 1
+    payload["g"]["data"] = payload["g"]["data"][: len(payload["alphabet"]) ** 2]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(g0="1.5"),
+        lambda p: p.update(g0=True),
+        lambda p: p.update(g0=10**400),
+        lambda p: p.update(r_max="3"),
+        lambda p: p.update(r_max=3.7),
+        _r_max_true,
+        lambda p: p.update(alphabet="".join(p["alphabet"])),
+        lambda p: p.update(digraphs=["sv"]),
+        lambda p: p["g"].update(data=list(map(str, p["g"]["data"]))),
+    ],
+    ids=["g0-string", "g0-bool", "g0-huge-int", "r_max-string", "r_max-float", "r_max-bool",
+         "alphabet-string", "digraph-string", "data-strings"],
+)
+def test_mistyped_field_is_data_error(paths, tmp_path, capsys, edit):
+    payload = json.loads(Path(paths["model"]).read_text(encoding="utf-8"))
+    edit(payload)
+    with pytest.raises(ModelFormatError, match="malformed model file"):
+        model_from_dict(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_over_nested_meta_in_payload_is_data_error(paths):
+    payload = json.loads(Path(paths["model"]).read_text(encoding="utf-8"))
+    deep = []
+    for _ in range(2000):
+        deep = [deep]
+    payload["meta"] = {"x": deep}
+    with pytest.raises(ModelFormatError, match="^malformed model file: nested too deeply$"):
+        model_from_dict(payload)

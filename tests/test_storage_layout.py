@@ -100,6 +100,15 @@ def test_indented_layout_still_loads(tmp_path, model):
     assert_same_model(load_model(path), model)
 
 
+def test_file_without_digraphs_still_loads(tmp_path, latin):
+    m = train(latin)
+    payload = model_to_dict(m)
+    del payload["digraphs"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert_same_model(load_model(path), m)
+
+
 def test_failed_save_keeps_earlier_file(tmp_path, model):
     path = tmp_path / "m.json"
     save_model(model, path)
