@@ -15,9 +15,11 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import CorpusError, UnknownSymbolError
 
@@ -114,9 +116,10 @@ class Alphabet:
 
 def _read_tokens(
     lines: Iterable[str], digraph_table: Optional[Mapping[str, str]]
-) -> tuple[Alphabet, list[str]]:
-    """One pass over the lines: the alphabet of `build_inventory`, and every
-    token of the lines, normalized, in order."""
+) -> tuple[Alphabet, list[str], Optional[np.ndarray]]:
+    """One pass over the lines: the alphabet of `build_inventory`, every
+    token of the lines, normalized, in order, and, when every symbol is one
+    character, the tokens' symbol indices laid end to end (else None)."""
     digraphs = dict(digraph_table or {})
     _check_spellings(digraphs)
     texts: list[str] = []
@@ -126,16 +129,25 @@ def _read_tokens(
     if not texts:
         raise CorpusError("empty corpus")
     if not digraphs:
-        # With no digraphs and no combining mark, _split yields each character.
-        chars = dict.fromkeys("".join(texts))
+        # With no digraphs and no combining mark, _split yields each
+        # character. The code points are read as one array: the distinct
+        # ones, ordered by first appearance, are the alphabet, and one
+        # lookup turns every code point into its symbol index.
+        joined = "".join(texts)
+        codes = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
+        present = np.zeros(int(codes.max()) + 1, dtype=bool)
+        present[codes] = True
+        chars = sorted(map(chr, np.flatnonzero(present).tolist()), key=joined.find)
         if not any(map(unicodedata.combining, chars)):
-            return Alphabet(tuple(chars)), texts
+            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(chars) - 1))
+            lookup[list(map(ord, chars))] = np.arange(len(chars))
+            return Alphabet(tuple(chars)), texts, lookup[codes]
     lengths = sorted({len(k) for k in digraphs}, reverse=True)
     seen: dict[str, None] = {}
     for text in texts:
         for _, symbol in _split(text, digraphs, lengths):
             seen.setdefault(symbol)
-    return Alphabet(tuple(seen), tuple(digraphs.items())), texts
+    return Alphabet(tuple(seen), tuple(digraphs.items())), texts, None
 
 
 def build_inventory(
@@ -217,14 +229,20 @@ class Corpus:
         if used and (min(used) < 0 or max(used) >= self.alphabet.d):
             raise CorpusError("word with out-of-range symbol index")
 
-    def surface_words(self) -> list[str]:
+    @cached_property
+    def _surface(self) -> tuple[str, ...]:
+        """Each word spelled out; set in advance by `parse_corpus` when each
+        token it read is its word's spelling."""
         # __post_init__ has range-checked every index, so no per-symbol check.
         symbols = self.alphabet.symbols
-        return ["".join([symbols[i] for i in w]) for w in self.words]
+        return tuple(["".join([symbols[i] for i in w]) for w in self.words])
+
+    def surface_words(self) -> list[str]:
+        return list(self._surface)
 
     def sha256(self) -> str:
         """Platform-stable digest of the normalized word list."""
-        return surface_digest(self.surface_words())
+        return surface_digest(self._surface)
 
 
 def surface_digest(surface_words: Sequence[str]) -> str:
@@ -237,8 +255,18 @@ def parse_corpus(
     source: str = "<memory>",
     digraph_table: Optional[Mapping[str, str]] = None,
 ) -> Corpus:
-    alphabet, texts = _read_tokens(lines, digraph_table)
-    return Corpus(alphabet, Words([tokenize(t, alphabet) for t in texts]), source)
+    alphabet, texts, indices = _read_tokens(lines, digraph_table)
+    if indices is None:
+        return Corpus(alphabet, Words([tokenize(t, alphabet) for t in texts]), source)
+    # Per character: each token is cut from the index stream by its length,
+    # and is its own word's spelling. Slices of bytes (one byte per index,
+    # d <= 256) turn into tuples fastest.
+    stream = indices.tobytes() if indices.itemsize == 1 else memoryview(indices)
+    bounds = pairwise(accumulate(map(len, texts), initial=0))
+    words = [tuple(stream[i:j]) for i, j in bounds]
+    corpus = Corpus(alphabet, Words(words), source)
+    object.__setattr__(corpus, "_surface", tuple(texts))
+    return corpus
 
 
 def load_corpus(path, digraph_table: Optional[Mapping[str, str]] = None) -> Corpus:

@@ -95,15 +95,39 @@ class BranchColumn(Sequence[BranchNode]):
     order, so each parent's children are one contiguous run. Indexing builds
     every BranchNode of the space, once; `len` and the arrays build none."""
 
-    def __init__(self, space: "BranchSpace", col: int, parent, symbol, rank, energy) -> None:
-        self._space, self._col = space, col
+    def __init__(self, nodes: "_Nodes", col: int, parent, symbol, rank, energy) -> None:
+        self._nodes, self._col = nodes, col
         self.parent, self.symbol, self.rank, self.energy = parent, symbol, rank, energy
+        nodes.arrays.append((parent, symbol, rank, energy))
 
     def __len__(self) -> int:
         return len(self.energy)
 
     def __getitem__(self, i):
-        return self._space._nodes[self._col][i]
+        return self._nodes.built[self._col][i]
+
+
+class _Nodes:
+    """The BranchNodes of one space, built once, on first use, from the
+    arrays its columns register here. It refers to no column and no space,
+    so no reference cycle holds a dropped space's arrays until the cyclic
+    collector runs."""
+
+    def __init__(self, prefix: Word) -> None:
+        self.prefix = prefix
+        self.arrays: list[tuple] = []
+
+    @cached_property
+    def built(self) -> list[list[BranchNode]]:
+        (_, _, _, energy), *rest = self.arrays
+        built = [[BranchNode(self.prefix, energy.item(), 0, 0)]]
+        for col, (parent, symbol, rank, energy) in enumerate(rest, 1):
+            ups = [built[-1][i] for i in parent.tolist()]
+            arrays = zip(ups, symbol.tolist(), rank.tolist(), energy.tolist())
+            built.append([BranchNode(up.word + (s,), e, col, r, up) for up, s, r, e in arrays])
+            for node in built[-1]:
+                node.parent.children_right.append(node)
+        return built
 
 
 class BranchSpace:
@@ -155,7 +179,8 @@ class BranchSpace:
         budget = np.array([self.max_depth_down - 1])
         # tails[r - 1]: each node's sound r places back, for the r the word reaches.
         tails = [np.array([s]) for s in p[: -m.r_max - 1 : -1]]
-        columns = [BranchColumn(self, 0, np.array([-1]), np.array([-1]), np.array([0]), energy)]
+        nodes = _Nodes(p)
+        columns = [BranchColumn(nodes, 0, np.array([-1]), np.array([-1]), np.array([0]), energy)]
         for col in range(1, self.max_depth_right + 1):
             width = min(d, int(budget.max()) + 1)
             grown = []
@@ -174,21 +199,10 @@ class BranchSpace:
                 grown.append((parent + rows.start, symbol, rank, scored[parent, symbol]))
             parent, symbol, rank, cross = map(np.concatenate, zip(*grown))
             energy = energy[parent] + cross
-            columns.append(BranchColumn(self, col, parent, symbol, rank, energy))
+            columns.append(BranchColumn(nodes, col, parent, symbol, rank, energy))
             budget = budget[parent] - rank
             tails = ([symbol] + [t[parent] for t in tails])[: m.r_max]
         return columns
-
-    @cached_property
-    def _nodes(self) -> list[list[BranchNode]]:
-        built = [[BranchNode(self.prefix, self.columns[0].energy.item(), 0, 0)]]
-        for col, c in enumerate(self.columns[1:], 1):
-            ups = [built[-1][i] for i in c.parent.tolist()]
-            arrays = zip(ups, c.symbol.tolist(), c.rank.tolist(), c.energy.tolist())
-            built.append([BranchNode(up.word + (s,), e, col, r, up) for up, s, r, e in arrays])
-            for node in built[-1]:
-                node.parent.children_right.append(node)
-        return built
 
     def find(self, word: Sequence[int]) -> Optional[BranchNode]:
         """The node holding this exact word, or None when it lies outside the

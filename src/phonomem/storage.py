@@ -142,3 +142,5 @@ def load_model(path) -> InteractionModel:
         raise ModelFormatError(f"{path}: malformed model file: nested too deeply") from exc
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc

@@ -134,7 +134,7 @@ def train(
     for r in range(r_max):
         u, v = _flow_scalars(float(counts[r].sum()), target, cfg)
         g[r] = u + v * counts[r]
-    words = corpus.surface_words()
+    words = corpus._surface
     meta = {
         "train": asdict(cfg),
         "corpus": {

@@ -2,8 +2,10 @@
 exports read the arrays and construct no BranchNode, and the nodes, built
 only on request, change no export byte."""
 
+import gc
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +122,19 @@ def test_children_follow_the_one_row_ranking_when_energies_overflow(latin):
                     node.energy + cross[child.word[-1]] for child in children
                 ]
         assert np.isinf(space.columns[-1].energy).any()
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["arrays", "nodes"])
+def test_dropped_space_frees_its_arrays_without_the_cyclic_collector(latin_model, built):
+    # No reference cycle may hold the column arrays: with the collector off,
+    # dropping the space alone frees them, whether or not nodes were built.
+    space = enumerate_branch_space(latin_model, (0,), 4, 3)
+    if built:
+        assert list(space.nodes())
+    refs = [weakref.ref(a) for c in space.columns for a in (c.parent, c.symbol, c.rank, c.energy)]
+    gc.disable()
+    try:
+        del space
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

@@ -189,3 +189,27 @@ def test_over_nested_meta_in_payload_is_data_error(paths):
     payload["meta"] = {"x": deep}
     with pytest.raises(ModelFormatError, match="^malformed model file: nested too deeply$"):
         model_from_dict(payload)
+
+
+def _huge_g0(payload):
+    payload["g0"] = "HUGE"
+
+
+def _huge_data_entry(payload):
+    payload["g"]["data"][0] = "HUGE"
+
+
+@pytest.mark.parametrize("edit", [_huge_g0, _huge_data_entry], ids=["g0", "g-data"])
+def test_integer_literal_past_the_digit_limit_is_data_error(paths, tmp_path, capsys, edit):
+    # json.dumps refuses such an integer too, so it is spliced into the text.
+    payload = json.loads(Path(paths["model"]).read_text(encoding="utf-8"))
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload).replace('"HUGE"', "1" + "0" * 4999), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{bad}: "):
+        load_model(bad)
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
