@@ -29,9 +29,9 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
     if not isinstance(input_words, Words):
         input_words = Words(map(tuple, input_words))
     input_set = set(input_words.starting_with(p))
-    flag_of = {
-        w[:k]: "partial-input-word" for w in input_set for k in range(max(1, len(p)), len(w))
-    }
+    # No node holds more than len(p) + max_depth_right sounds: no longer prefix is looked up.
+    lo, hi = max(1, len(p)), len(p) + space.max_depth_right + 1
+    flag_of = {w[:k]: "partial-input-word" for w in input_set for k in range(lo, min(len(w), hi))}
     flag_of.update(dict.fromkeys(input_set, "input-word"))
     symbols = alphabet.symbols
     words, flags, edges = [detokenize(p, alphabet)], [flag_of.get(p, _PSEUDO)], []

@@ -244,8 +244,9 @@ def next_sound_distribution(
 
 
 # Entries in one stacked (rows x d) array of the column and chain scorers,
-# whose rows are parent nodes and word-steps: 2 MiB of float64, so memory
-# stays flat however long the lexicon or wide the branch space.
+# whose rows are parent nodes and word-steps: 2 MiB of float64. The chain
+# scorer reads its word-steps from one index stream (_word_stream), so the
+# rest of its memory is linear in the number of sounds.
 _BLOCK = 1 << 18
 
 
@@ -256,6 +257,27 @@ def _blocks(rows: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def _word_stream(
+    words: Sequence[Sequence[int]], d: int, r_max: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every word's symbol indices end to end in one index stream, each word
+    preceded by reach = min(r_max, longest word - 1) entries of index d, the
+    table's "no sound" row. So no pair or tail within reach crosses a word
+    edge, and a range past reach couples no two sounds of any word. Returns
+    the stream, the word lengths and reach; count_pairs and the chain scorer
+    both read it. Memory is linear in the number of sounds: the positions
+    are scattered in int32, the stream is intp, the type numpy indexes with."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    reach = max(0, min(r_max, int(lengths.max(initial=0)) - 1))
+    # Each sound's stream position: its place in the joined words plus the
+    # padding up to its own word's.
+    at = (reach * np.arange(1, len(words) + 1, dtype=np.int32)).repeat(lengths)
+    stream = np.full(len(at) + reach * len(words), d, dtype=np.intp)
+    at += np.arange(len(at), dtype=np.int32)
+    stream[at] = np.fromiter(chain.from_iterable(words), dtype=np.int32, count=len(at))
+    return stream, lengths, reach
+
+
 def _log_chain_probabilities(
     m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
 ) -> np.ndarray:
@@ -264,29 +286,28 @@ def _log_chain_probabilities(
 
     Scored as one row program, as BranchSpace.columns is: every scored
     word-step is one row of a (word-steps x d) array of candidate cross
-    energies, and each row takes one max-shifted log-softmax. np.add.at is
-    unbuffered and adds in index order, so each word's terms are summed in
-    place in step order from 0.0, across block edges too, and every total
-    equals the one-word chain bit for bit. Counts d evaluations per scored
-    word-step toward eval_count()."""
-    d, r_max = m.d, m.r_max
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    # r_max leading columns of index d: no sound that far back.
-    padded = np.full((len(words), r_max + inside.shape[1]), d, dtype=np.intp)
-    padded[:, r_max:][inside] = np.fromiter(
-        chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
-    )
-    word, at = np.nonzero(inside[:, start:])  # row-major: each word's steps in order
-    at += start + r_max  # each scored sound's column in padded
+    energies, and each row takes one max-shifted log-softmax. A step's
+    tail is read from the word stream, whose padding stands for the sounds
+    before a word's start; ranges past the stream's reach would only add
+    the table's 0.0 row, so they are left out (the table holds no -0.0, so
+    no bit changes). np.add.at is unbuffered and adds in index order, so
+    each word's terms are summed in place in step order from 0.0, across
+    block edges too, and every total equals the one-word chain bit for
+    bit. Counts d evaluations per scored word-step toward eval_count()."""
+    stream, lengths, reach = _word_stream(words, m.d, m.r_max)
+    scored = np.maximum(lengths - start, 0)
+    word = np.arange(len(words)).repeat(scored)  # each word's steps in order
+    # Each scored sound's stream position: the padding and unscored sounds up
+    # to its word's first scored sound, plus its row.
+    at = (lengths - scored + reach).cumsum()[word] + np.arange(len(word))
     totals = np.zeros(len(words))
-    for rows in _blocks(len(word), d):
+    for rows in _blocks(len(word), m.d):
         w, a = word[rows], at[rows]
-        cross = _cross_energies(m, [padded[w, a - r] for r in range(1, r_max + 1)], w.shape)
+        cross = _cross_energies(m, [stream[a - r] for r in range(1, reach + 1)], w.shape)
         cross *= -beta
-        cross -= np.maximum.reduce(cross, axis=1)[:, None]
+        cross -= np.maximum.reduce(cross, axis=1, keepdims=True)
         norm = np.log(np.add.reduce(np.exp(cross), axis=1))
-        np.add.at(totals, w, cross[np.arange(len(w)), padded[w, a]] - norm)
+        np.add.at(totals, w, cross[np.arange(len(w)), stream[a]] - norm)
     return totals
 
 

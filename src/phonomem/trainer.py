@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
 from .alphabet import Corpus, surface_digest
 from .errors import CorpusError
-from .model import InteractionModel, mean_interaction
+from .model import InteractionModel, _word_stream, mean_interaction
 
 NORMALIZE_MODES = ("none", "per-range-sum")
 
@@ -79,25 +78,21 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     """Exact pair counts for every range 1..r_max. The total at range r
     equals sum over words of max(0, N - r).
 
-    Every word is laid end to end in one flat index array, with the word id
-    of each position beside it. At range r, position i pairs with i + r
-    when both carry the same word id; those pairs are counted with one
-    bincount of s*d + s'. Ranges longer than every word stay zero."""
+    The words are read as one index stream (model._word_stream), each word
+    preceded by enough entries of index d that no pair within r_max crosses
+    a word edge. At range r, position i pairs with i + r: one bincount of
+    s*(d+1) + s' over (d+1)^2 bins, whose d x d block holds the pairs of
+    real sounds. Ranges longer than every word stay zero."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     d = corpus.alphabet.d
-    words = corpus.words
-    # int32 positions keep the flat arrays at half the size; the pair index
-    # s*d + s' is formed in intp, the type bincount takes without a copy.
-    lengths = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
-    flat = np.fromiter(chain.from_iterable(words), dtype=np.int32, count=int(lengths.sum()))
-    word_id = np.repeat(np.arange(len(words), dtype=np.int32), lengths)
+    stream, _, reach = _word_stream(corpus.words, d, r_max)
     counts = np.zeros((r_max, d, d), dtype=np.int64)
-    for r in range(1, min(r_max, int(lengths.max(initial=0)) - 1) + 1):
-        pair = np.multiply(flat[:-r], d, dtype=np.intp)
-        pair += flat[r:]
-        same = word_id[:-r] == word_id[r:]
-        counts[r - 1].flat = np.bincount(pair[same], minlength=d * d)
+    for r in range(1, reach + 1):
+        pair = stream[:-r] * (d + 1)
+        pair += stream[r:]
+        counts[r - 1] = np.bincount(pair, minlength=(d + 1) ** 2).reshape(d + 1, d + 1)[:d, :d]
+        del pair  # so one pair array is alive at a time, not two
     return PairCounts(counts)
 
 

@@ -2,13 +2,15 @@
 log_chain_probability equals the word-by-word chain bit for bit."""
 
 import math
+import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phonomem import TrainConfig, parse_corpus, predict_completions, train
+from phonomem import Corpus, TrainConfig, parse_corpus, predict_completions, train
 from phonomem import model as model_module
 from phonomem.model import (
     _check_beta,
@@ -139,3 +141,83 @@ def test_empty_word_list(latin_model):
         reset_eval_count()
         got = _log_chain_probabilities(latin_model, [], start, 1.0)
         assert got.shape == (0,) and eval_count() == 0
+
+
+def _windowed_reference(m, word, start, beta=1.0):
+    """_reference_log_chain of word[start:] after word[:start], each step given
+    only the r_max sounds before it (all that its cross terms read), so a
+    40,000-sound word takes linear time; the terms are summed in the same
+    order from 0.0, so the bits are the same."""
+    total = 0.0
+    for k in range(start, len(word)):
+        total += _reference_log_chain(m, word[max(0, k - m.r_max) : k], word[k : k + 1], beta)
+    return total
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_word_lexicon(latin):
+    """700 Latin words (the list 20 times over) and one 40,000-sound word."""
+    rng = random.Random(0)
+    long_word = tuple(rng.randrange(latin.alphabet.d) for _ in range(40_000))
+    return Corpus(latin.alphabet, tuple(latin.words) * 20 + (long_word,))
+
+
+@pytest.fixture(scope="module")
+def latin_r200(latin):
+    """An r_max-200 Latin model and the Latin list 100 times over (3,500 words)."""
+    return train(latin, r_max=200), Corpus(latin.alphabet, tuple(latin.words) * 100)
+
+
+def test_one_long_word_keeps_memory_linear(latin_model, long_word_lexicon):
+    ranked, peak = _traced_peak_mib(lambda: predict_completions(latin_model, (), long_word_lexicon))
+    assert peak < 16
+    expected = {w: _windowed_reference(latin_model, w, 0) for w in set(long_word_lexicon.words)}
+    assert len(ranked) == len(long_word_lexicon.words)
+    assert [(w, float(p).hex()) for w, p in ranked] == [
+        (w, math.exp(expected[w]).hex()) for w, _ in ranked
+    ]
+    got = _log_chain_probabilities(latin_model, long_word_lexicon.words, 0, 1.0)
+    assert _bits(got) == _bits([expected[w] for w in long_word_lexicon.words])
+
+
+def test_long_range_model_keeps_memory_linear(latin_r200):
+    model, lexicon = latin_r200
+    ranked, peak = _traced_peak_mib(lambda: predict_completions(model, (), lexicon))
+    assert peak < 16
+    expected = {w: _reference_log_chain(model, (), w) for w in set(lexicon.words)}
+    assert [(w, float(p).hex()) for w, p in ranked] == [
+        (w, math.exp(expected[w]).hex()) for w, _ in ranked
+    ]
+    got = _log_chain_probabilities(model, lexicon.words, 0, 1.0)
+    assert _bits(got) == _bits([expected[w] for w in lexicon.words])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 60.0])
+def test_ranges_past_the_longest_word_add_nothing(latin, beta):
+    # r_max 12 lies past the 10-sound longest word, so ranges 10-12 never
+    # couple two sounds of a word: every split equals the word-by-word chain.
+    model = train(latin, r_max=12)
+    words = sorted(set(latin.words))
+    assert max(map(len, words)) == 10
+    for start in range(max(map(len, words)) + 2):
+        got = _log_chain_probabilities(model, words, start, beta)
+        expected = [_reference_log_chain(model, w[:start], w[start:], beta) for w in words]
+        assert _bits(got) == _bits(expected)
+        for w, want in zip(words, expected):
+            if start <= len(w):
+                assert _bits([log_chain_probability(model, w[:start], w[start:], beta)]) == _bits([want])
+    for p in sorted({w[:k] for w in words for k in range(len(w) + 1)}):
+        matches = [w for w in words if w[: len(p)] == p]
+        want = [_reference_log_chain(model, p, w[len(p) :], beta) for w in matches]
+        ranked = predict_completions(model, p, latin, beta)
+        by_logp = sorted(zip(matches, want), key=lambda item: (-item[1], item[0]))
+        assert ranked == [(w, math.exp(logp)) for w, logp in by_logp]

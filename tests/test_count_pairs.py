@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phonomem import (
     Alphabet,
@@ -78,3 +79,34 @@ def test_corpus_index_bounds():
     for word in ((0, 2), (-1, 0)):
         with pytest.raises(CorpusError, match="out-of-range"):
             Corpus(al, (word,))
+
+
+def _alphabet(d: int) -> Alphabet:
+    return Alphabet(tuple(chr(0x100 + i) for i in range(d)))
+
+
+# d on both sides of 256; words of one sound up to eight, so r_max up to 12
+# runs past every word's length.
+_WORD_LISTS = st.sampled_from([1, 2, 3, 18, 255, 256, 257, 300]).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.lists(st.integers(0, d - 1), min_size=1, max_size=8).map(tuple), max_size=25
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_WORD_LISTS, r_max=st.integers(1, 12))
+@example(case=(256, [(255,), (0,), (255,)]), r_max=3)  # one-sound words only
+@example(case=(257, [(256, 0), (1,), (256, 256, 5)]), r_max=12)  # r_max past every word
+@example(case=(255, [(254,) * 8, (0, 1)]), r_max=5)  # one word shorter than r_max
+@example(case=(1, []), r_max=2)
+def test_count_pairs_equals_reference_on_any_word_list(case, r_max):
+    d, words = case
+    corpus = Corpus(_alphabet(d), tuple(words))
+    counts = count_pairs(corpus, r_max).counts
+    assert counts.dtype == np.int64
+    assert counts.shape == (r_max, d, d)
+    np.testing.assert_array_equal(counts, reference_counts(corpus, r_max))
