@@ -11,6 +11,7 @@ downstream.
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -132,14 +133,15 @@ def _read_tokens(
         # With no digraphs and no combining mark, _split yields each
         # character. The code points are read as one array: the distinct
         # ones, ordered by first appearance, are the alphabet, and one
-        # lookup turns every code point into its symbol index.
+        # lookup turns every code point into its symbol index, in the
+        # narrowest type that also holds d, the index count_pairs pads with.
         joined = "".join(texts)
         codes = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
         present = np.zeros(int(codes.max()) + 1, dtype=bool)
         present[codes] = True
         chars = sorted(map(chr, np.flatnonzero(present).tolist()), key=joined.find)
         if not any(map(unicodedata.combining, chars)):
-            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(chars) - 1))
+            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(chars)))
             lookup[list(map(ord, chars))] = np.arange(len(chars))
             return Alphabet(tuple(chars)), texts, lookup[codes]
     lengths = sorted({len(k) for k in digraphs}, reverse=True)
@@ -188,10 +190,22 @@ def detokenize(word: Sequence[int], alphabet: Alphabet) -> str:
     return "".join(alphabet.symbols[i] for i in word)
 
 
+def _flatten(words: Sequence[Sequence[int]], dtype=np.int32) -> np.ndarray:
+    """Every word's symbol indices end to end. Exact only for words of
+    checked integer indices: np.fromiter reads 1.5 as 1."""
+    return np.fromiter(chain.from_iterable(words), dtype=dtype)
+
+
 class Words(tuple):
     """An immutable word list that compares, hashes, iterates and dumps to
     JSON as the plain tuple of its words, and answers "which words start
     with this prefix" from an index by first sound, built on first use."""
+
+    @cached_property
+    def _stream(self) -> np.ndarray:
+        """The words' indices end to end: the parse's own index array, else
+        built on first use (after `Corpus` has checked every index)."""
+        return _flatten(self)
 
     @cached_property
     def _by_head(self) -> dict[Word, list[Word]]:
@@ -225,7 +239,15 @@ class Corpus:
             object.__setattr__(self, "words", Words(map(tuple, self.words)))
         if not all(self.words):
             raise CorpusError("empty word in corpus")
-        used = set(chain.from_iterable(self.words))
+        if "_stream" in vars(self.words):
+            # Every index came from the parse's lookup or passed the check
+            # below once: its extremes are one array pass.
+            used = (self.words._stream.min(initial=0), self.words._stream.max(initial=0))
+        else:
+            try:
+                used = set(map(operator.index, chain.from_iterable(self.words)))
+            except TypeError:
+                raise CorpusError("word with non-integer symbol index") from None
         if used and (min(used) < 0 or max(used) >= self.alphabet.d):
             raise CorpusError("word with out-of-range symbol index")
 
@@ -260,11 +282,13 @@ def parse_corpus(
         return Corpus(alphabet, Words([tokenize(t, alphabet) for t in texts]), source)
     # Per character: each token is cut from the index stream by its length,
     # and is its own word's spelling. Slices of bytes (one byte per index,
-    # d <= 256) turn into tuples fastest.
+    # d < 256) turn into tuples fastest. The words keep the index array
+    # itself, in its narrowest type, as their stream.
     stream = indices.tobytes() if indices.itemsize == 1 else memoryview(indices)
     bounds = pairwise(accumulate(map(len, texts), initial=0))
-    words = [tuple(stream[i:j]) for i, j in bounds]
-    corpus = Corpus(alphabet, Words(words), source)
+    words = Words([tuple(stream[i:j]) for i, j in bounds])
+    words._stream = indices
+    corpus = Corpus(alphabet, words, source)
     object.__setattr__(corpus, "_surface", tuple(texts))
     return corpus
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .alphabet import Alphabet, _check_indices
+from .alphabet import Alphabet, _check_indices, _flatten
 
 _EVALS = 0
 
@@ -245,7 +244,7 @@ def next_sound_distribution(
 
 # Entries in one stacked (rows x d) array of the column and chain scorers,
 # whose rows are parent nodes and word-steps: 2 MiB of float64. The chain
-# scorer reads its word-steps from one index stream (_word_stream), so the
+# scorer reads its word-steps from one padded index stream (_padded), so the
 # rest of its memory is linear in the number of sounds.
 _BLOCK = 1 << 18
 
@@ -257,24 +256,24 @@ def _blocks(rows: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _word_stream(
-    words: Sequence[Sequence[int]], d: int, r_max: int
+def _padded(
+    flat: np.ndarray, words: Sequence[Sequence[int]], d: int, r_max: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every word's symbol indices end to end in one index stream, each word
+    """`flat`, the words' index stream (alphabet._flatten), with each word
     preceded by reach = min(r_max, longest word - 1) entries of index d, the
     table's "no sound" row. So no pair or tail within reach crosses a word
     edge, and a range past reach couples no two sounds of any word. Returns
-    the stream, the word lengths and reach; count_pairs and the chain scorer
-    both read it. Memory is linear in the number of sounds: the positions
-    are scattered in int32, the stream is intp, the type numpy indexes with."""
+    it, the word lengths and reach; count_pairs and the chain scorer both
+    read it. Memory is linear in the number of sounds: the positions are
+    scattered in int32, the stream keeps flat's type, which must hold d."""
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     reach = max(0, min(r_max, int(lengths.max(initial=0)) - 1))
     # Each sound's stream position: its place in the joined words plus the
     # padding up to its own word's.
     at = (reach * np.arange(1, len(words) + 1, dtype=np.int32)).repeat(lengths)
-    stream = np.full(len(at) + reach * len(words), d, dtype=np.intp)
-    at += np.arange(len(at), dtype=np.int32)
-    stream[at] = np.fromiter(chain.from_iterable(words), dtype=np.int32, count=len(at))
+    stream = np.full(len(flat) + reach * len(words), d, dtype=flat.dtype)
+    at += np.arange(len(flat), dtype=np.int32)
+    stream[at] = flat
     return stream, lengths, reach
 
 
@@ -294,7 +293,7 @@ def _log_chain_probabilities(
     each word's terms are summed in place in step order from 0.0, across
     block edges too, and every total equals the one-word chain bit for
     bit. Counts d evaluations per scored word-step toward eval_count()."""
-    stream, lengths, reach = _word_stream(words, m.d, m.r_max)
+    stream, lengths, reach = _padded(_flatten(words, np.intp), words, m.d, m.r_max)
     scored = np.maximum(lengths - start, 0)
     word = np.arange(len(words)).repeat(scored)  # each word's steps in order
     # Each scored sound's stream position: the padding and unscored sounds up
@@ -356,7 +355,12 @@ def ablate(m: InteractionModel, ranges: Iterable[int]) -> InteractionModel:
 
 
 def mean_interaction(m: InteractionModel, r: int) -> float:
-    """Arithmetic mean of the d*d entries of g(r)."""
+    """Arithmetic mean of the d*d entries of g(r), finite for any model."""
     if not 1 <= r <= m.r_max:
         raise ValueError(f"range {r} outside 1..{m.r_max}")
-    return float(m.g[r - 1].mean())
+    g = m.g[r - 1]
+    with np.errstate(over="ignore"):
+        mean = float(g.mean())
+    # Only a sum past float64 is scaled, by the largest entry, into [0, 1]:
+    # every finite mean keeps its bits.
+    return mean if math.isfinite(mean) else float(g.max() * (g / g.max()).mean())

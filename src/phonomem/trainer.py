@@ -36,7 +36,7 @@ import numpy as np
 
 from .alphabet import Corpus, surface_digest
 from .errors import CorpusError
-from .model import InteractionModel, _word_stream, mean_interaction
+from .model import InteractionModel, _padded, mean_interaction
 
 NORMALIZE_MODES = ("none", "per-range-sum")
 
@@ -78,18 +78,18 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     """Exact pair counts for every range 1..r_max. The total at range r
     equals sum over words of max(0, N - r).
 
-    The words are read as one index stream (model._word_stream), each word
-    preceded by enough entries of index d that no pair within r_max crosses
-    a word edge. At range r, position i pairs with i + r: one bincount of
-    s*(d+1) + s' over (d+1)^2 bins, whose d x d block holds the pairs of
-    real sounds. Ranges longer than every word stay zero."""
+    The words' index stream (the parse's own, else built once) is padded
+    in its own narrow type by model._padded, so no pair within r_max
+    crosses a word edge. At range r, position i pairs with i + r: one intp
+    bincount of s*(d+1) + s' over (d+1)^2 bins, whose d x d block holds
+    the pairs of real sounds. Ranges longer than every word stay zero."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     d = corpus.alphabet.d
-    stream, _, reach = _word_stream(corpus.words, d, r_max)
+    stream, _, reach = _padded(corpus.words._stream, corpus.words, d, r_max)
     counts = np.zeros((r_max, d, d), dtype=np.int64)
     for r in range(1, reach + 1):
-        pair = stream[:-r] * (d + 1)
+        pair = np.multiply(stream[:-r], d + 1, dtype=np.intp)
         pair += stream[r:]
         counts[r - 1] = np.bincount(pair, minlength=(d + 1) ** 2).reshape(d + 1, d + 1)[:d, :d]
         del pair  # so one pair array is alive at a time, not two
@@ -102,6 +102,8 @@ def _flow_scalars(total: float, target: float, cfg: TrainConfig) -> tuple[float,
     never-rescaled case."""
     n, eta = cfg.timesteps, cfg.eta
     mass = cfg.g_init * target + eta * total
+    if not math.isfinite(mass):
+        raise ValueError("a range's mass g_init*d*d + eta*pairs overflows float64")
     if cfg.normalize == "none" or n == 0 or mass == 0.0:  # never rescaled
         return cfg.g_init, eta * n
     u, v = cfg.g_init * (target / mass), eta * (target / mass)

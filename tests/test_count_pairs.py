@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from phonomem import (
     parse_corpus,
     train,
 )
+from phonomem.storage import _model_text
 
 
 def reference_counts(corpus: Corpus, r_max: int) -> np.ndarray:
@@ -81,6 +83,49 @@ def test_corpus_index_bounds():
             Corpus(al, (word,))
 
 
+@pytest.mark.parametrize("word", [(2**70, 0), (np.int64(-1),), (np.uint64(3),)])
+def test_corpus_refuses_out_of_range_indices(word):
+    with pytest.raises(CorpusError, match="out-of-range"):
+        Corpus(Alphabet(("a", "b", "c")), [(0, 1), word])
+
+
+@pytest.mark.parametrize(
+    "words",
+    [[(1.5, 0)], [(1.0, 0)], [("1", 0)], [(1, 0), (1.0, 0)], [(np.float64(2.0),)], [(None,)]],
+    ids=["1.5", "1.0", "str", "1-then-1.0", "numpy-float", "None"],
+)
+def test_corpus_refuses_non_integer_indices(words):
+    # 1.0 equals 1 and hashes like it, so a set of the indices alone would
+    # keep whichever came first.
+    with pytest.raises(CorpusError, match="non-integer"):
+        Corpus(Alphabet(("a", "b", "c")), words)
+
+
+def test_corpus_takes_bools_and_numpy_integers():
+    words = [(True, np.int64(2), np.uint8(0)), (False, np.int32(1)), (2, 2)]
+    corpus = Corpus(Alphabet(("a", "b", "c")), words)
+    assert corpus.surface_words() == ["bca", "ab", "cc"]
+    plain = Corpus(corpus.alphabet, [(1, 2, 0), (0, 1), (2, 2)])
+    for r_max in (1, 2, 3):
+        np.testing.assert_array_equal(
+            count_pairs(corpus, r_max).counts, reference_counts(plain, r_max)
+        )
+    assert _model_text(train(corpus)) == _model_text(train(plain))
+
+
+def test_replaced_words_count_anew():
+    corpus = parse_corpus(["servus salve", "ave vale"])
+    count_pairs(corpus, 3)
+    other = dataclasses.replace(corpus, words=[corpus.words[2], corpus.words[0]])
+    for r_max in range(1, 8):
+        np.testing.assert_array_equal(
+            count_pairs(other, r_max).counts, reference_counts(other, r_max)
+        )
+    # The same word list under a smaller alphabet is range-checked anew.
+    with pytest.raises(CorpusError, match="out-of-range"):
+        dataclasses.replace(corpus, alphabet=Alphabet(corpus.alphabet.symbols[:3]))
+
+
 def _alphabet(d: int) -> Alphabet:
     return Alphabet(tuple(chr(0x100 + i) for i in range(d)))
 
@@ -110,3 +155,29 @@ def test_count_pairs_equals_reference_on_any_word_list(case, r_max):
     assert counts.dtype == np.int64
     assert counts.shape == (r_max, d, d)
     np.testing.assert_array_equal(counts, reference_counts(corpus, r_max))
+
+
+def _lines_over(d: int):
+    """Lines of words over d one-character symbols, U+0100 up, each symbol
+    used at least once, so the parse's alphabet has exactly d symbols."""
+    symbol = st.integers(0, d - 1).map(lambda i: chr(0x100 + i))
+    words = st.lists(st.text(symbol, min_size=1, max_size=9), max_size=30)
+    every = st.permutations([chr(0x100 + i) for i in range(d)])
+    return st.tuples(every, words).map(
+        lambda t: ["".join(t[0][i : i + 7]) for i in range(0, d, 7)] + [" ".join(t[1])]
+    )
+
+
+# d on both sides of 256: the parse's stream is uint8 below 256 symbols,
+# uint16 from 256 on.
+@settings(max_examples=40, deadline=None)
+@given(lines=st.sampled_from([1, 2, 18, 255, 256, 257, 300]).flatmap(_lines_over))
+def test_parsed_and_built_corpora_train_alike(lines):
+    parsed = parse_corpus(lines)
+    built = Corpus(parsed.alphabet, tuple(parsed.words))
+    assert "_stream" in vars(parsed.words) and "_stream" not in vars(built.words)
+    for r_max in range(1, 13):
+        np.testing.assert_array_equal(
+            count_pairs(parsed, r_max).counts, count_pairs(built, r_max).counts
+        )
+    assert _model_text(train(parsed)) == _model_text(train(built))

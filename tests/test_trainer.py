@@ -194,3 +194,29 @@ def test_verify_decay_equal_means_within_rounding(latin, turkish):
     assert verify_decay(InteractionModel(al, 2, 1.0, g))
     g[1] = 1.0 + 1e-6  # a clear rise
     assert not verify_decay(InteractionModel(al, 2, 1.0, g))
+
+
+def test_mean_interaction_finite_past_float64_sum(latin, latin_model):
+    al = latin.alphabet
+    g = np.full((2, al.d, al.d), 1e308)
+    g[1, 0, 0] = 1.7e308  # range 2's mean is the larger
+    m = InteractionModel(al, 2, 1.0, g)
+    means = [mean_interaction(m, r) for r in (1, 2)]
+    assert means[0] == pytest.approx(1e308, rel=1e-12)
+    assert means[1] == pytest.approx(1e308 + 0.7e308 / al.d**2, rel=1e-12)
+    assert not verify_decay(m)  # two overflowed means (inf, inf) would pass as decay
+    g[1, 0, 0] = 0.0
+    assert verify_decay(InteractionModel(al, 2, 1.0, g))
+    # A mean whose sum stays finite keeps its bits.
+    for r in (1, 2, 3):
+        assert mean_interaction(latin_model, r) == float(latin_model.g[r - 1].mean())
+
+
+@pytest.mark.parametrize("normalize", ["none", "per-range-sum"])
+def test_train_refuses_a_range_mass_past_float64(latin, normalize):
+    # g_init * d*d is past float64 at d=18. Per-range-sum training would
+    # divide by that inf mass and drop g_init: range means of 0.43, not 1.
+    with pytest.raises(ValueError, match="overflows float64"):
+        train(latin, TrainConfig(g_init=1e306, normalize=normalize))
+    m = train(latin, TrainConfig(g_init=1e300, normalize="per-range-sum"))
+    assert mean_interaction(m, 1) == pytest.approx(1.0, rel=1e-9)
