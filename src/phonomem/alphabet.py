@@ -133,15 +133,14 @@ def _read_tokens(
         # With no digraphs and no combining mark, _split yields each
         # character. The code points are read as one array: the distinct
         # ones, ordered by first appearance, are the alphabet, and one
-        # lookup turns every code point into its symbol index, in the
-        # narrowest type that also holds d, the index count_pairs pads with.
+        # lookup turns every code point into its symbol index.
         joined = "".join(texts)
         codes = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
         present = np.zeros(int(codes.max()) + 1, dtype=bool)
         present[codes] = True
         chars = sorted(map(chr, np.flatnonzero(present).tolist()), key=joined.find)
         if not any(map(unicodedata.combining, chars)):
-            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(chars)))
+            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(chars) - 1))
             lookup[list(map(ord, chars))] = np.arange(len(chars))
             return Alphabet(tuple(chars)), texts, lookup[codes]
     lengths = sorted({len(k) for k in digraphs}, reverse=True)
@@ -282,7 +281,7 @@ def parse_corpus(
         return Corpus(alphabet, Words([tokenize(t, alphabet) for t in texts]), source)
     # Per character: each token is cut from the index stream by its length,
     # and is its own word's spelling. Slices of bytes (one byte per index,
-    # d < 256) turn into tuples fastest. The words keep the index array
+    # d <= 256) turn into tuples fastest. The words keep the index array
     # itself, in its narrowest type, as their stream.
     stream = indices.tobytes() if indices.itemsize == 1 else memoryview(indices)
     bounds = pairwise(accumulate(map(len, texts), initial=0))

@@ -78,15 +78,17 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     """Exact pair counts for every range 1..r_max. The total at range r
     equals sum over words of max(0, N - r).
 
-    The words' index stream (the parse's own, else built once) is padded
-    in its own narrow type by model._padded, so no pair within r_max
-    crosses a word edge. At range r, position i pairs with i + r: one intp
-    bincount of s*(d+1) + s' over (d+1)^2 bins, whose d x d block holds
-    the pairs of real sounds. Ranges longer than every word stay zero."""
+    The words' index stream (the parse's own, else built once), widened
+    only if its narrow type cannot hold d, is padded by model._padded, so
+    no pair within r_max crosses a word edge. At range r, position i pairs
+    with i + r: one intp bincount of s*(d+1) + s' over (d+1)^2 bins, whose
+    d x d block holds the pairs of real sounds. Ranges past every word stay zero."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     d = corpus.alphabet.d
-    stream, _, reach = _padded(corpus.words._stream, corpus.words, d, r_max)
+    flat = corpus.words._stream
+    flat = flat.astype(np.promote_types(flat.dtype, np.min_scalar_type(d)), copy=False)
+    stream, _, reach = _padded(flat, corpus.words, d, r_max)
     counts = np.zeros((r_max, d, d), dtype=np.int64)
     for r in range(1, reach + 1):
         pair = np.multiply(stream[:-r], d + 1, dtype=np.intp)
@@ -102,6 +104,9 @@ def _flow_scalars(total: float, target: float, cfg: TrainConfig) -> tuple[float,
     never-rescaled case."""
     n, eta = cfg.timesteps, cfg.eta
     mass = cfg.g_init * target + eta * total
+    # Refused in both modes, so one bound on g_init holds in each: rescaling
+    # divides by the mass, and once steps are taken a plain-flow range's
+    # entries sum past float64 with it.
     if not math.isfinite(mass):
         raise ValueError("a range's mass g_init*d*d + eta*pairs overflows float64")
     if cfg.normalize == "none" or n == 0 or mass == 0.0:  # never rescaled

@@ -168,8 +168,8 @@ def _lines_over(d: int):
     )
 
 
-# d on both sides of 256: the parse's stream is uint8 below 256 symbols,
-# uint16 from 256 on.
+# d on both sides of 256: the parse's stream is uint8 up to 256 symbols,
+# uint16 from 257 on; at 256 count_pairs widens it to pad with index 256.
 @settings(max_examples=40, deadline=None)
 @given(lines=st.sampled_from([1, 2, 18, 255, 256, 257, 300]).flatmap(_lines_over))
 def test_parsed_and_built_corpora_train_alike(lines):
@@ -181,3 +181,19 @@ def test_parsed_and_built_corpora_train_alike(lines):
             count_pairs(parsed, r_max).counts, count_pairs(built, r_max).counts
         )
     assert _model_text(train(parsed)) == _model_text(train(built))
+
+
+@pytest.mark.parametrize("d", [255, 256])
+def test_parsed_words_count_alike_under_a_wider_alphabet(d):
+    # The parse's uint8 stream cannot hold 256, the padding index of a
+    # 256-symbol or larger alphabet.
+    parsed = parse_corpus(
+        ["".join(chr(0x100 + i) for i in range(d)), chr(0x100 + d - 1) + chr(0x100)]
+    )
+    assert parsed.words._stream.dtype == np.uint8
+    wider = Corpus(Alphabet(parsed.alphabet.symbols + ("x", "y")), parsed.words)
+    assert wider.words is parsed.words
+    for r_max in (1, 2, 5):
+        np.testing.assert_array_equal(
+            count_pairs(wider, r_max).counts, reference_counts(wider, r_max)
+        )

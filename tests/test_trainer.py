@@ -207,6 +207,9 @@ def test_mean_interaction_finite_past_float64_sum(latin, latin_model):
     assert not verify_decay(m)  # two overflowed means (inf, inf) would pass as decay
     g[1, 0, 0] = 0.0
     assert verify_decay(InteractionModel(al, 2, 1.0, g))
+    # Entries of float64's largest value: g / g.size would sum past it again.
+    g[:] = np.finfo(np.float64).max
+    assert mean_interaction(InteractionModel(al, 2, 1.0, g), 1) == np.finfo(np.float64).max
     # A mean whose sum stays finite keeps its bits.
     for r in (1, 2, 3):
         assert mean_interaction(latin_model, r) == float(latin_model.g[r - 1].mean())
