@@ -189,12 +189,6 @@ def detokenize(word: Sequence[int], alphabet: Alphabet) -> str:
     return "".join(alphabet.symbols[i] for i in word)
 
 
-def _flatten(words: Sequence[Sequence[int]], dtype=np.int32) -> np.ndarray:
-    """Every word's symbol indices end to end. Exact only for words of
-    checked integer indices: np.fromiter reads 1.5 as 1."""
-    return np.fromiter(chain.from_iterable(words), dtype=dtype)
-
-
 class Words(tuple):
     """An immutable word list that compares, hashes, iterates and dumps to
     JSON as the plain tuple of its words, and answers "which words start
@@ -203,8 +197,9 @@ class Words(tuple):
     @cached_property
     def _stream(self) -> np.ndarray:
         """The words' indices end to end: the parse's own index array, else
-        built on first use (after `Corpus` has checked every index)."""
-        return _flatten(self)
+        built on first use in int32. Exact only for checked integer indices
+        (`Corpus` checks every index): np.fromiter reads 1.5 as 1."""
+        return np.fromiter(chain.from_iterable(self), dtype=np.int32)
 
     @cached_property
     def _by_head(self) -> dict[Word, list[Word]]:

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .alphabet import Alphabet, _check_indices, _flatten
+from .alphabet import Alphabet, Words, _check_indices
 
 _EVALS = 0
 
@@ -256,22 +256,22 @@ def _blocks(rows: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _padded(
-    flat: np.ndarray, words: Sequence[Sequence[int]], d: int, r_max: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """`flat`, the words' index stream (alphabet._flatten), with each word
-    preceded by reach = min(r_max, longest word - 1) entries of index d, the
-    table's "no sound" row. So no pair or tail within reach crosses a word
-    edge, and a range past reach couples no two sounds of any word. Returns
-    it, the word lengths and reach; count_pairs and the chain scorer both
-    read it. Memory is linear in the number of sounds: the positions are
-    scattered in int32, the stream keeps flat's type, which must hold d."""
+def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The words' index stream (`Words._stream`), each word preceded by
+    reach = min(r_max, longest word - 1) entries of index d, the table's
+    "no sound" row: no pair or tail within reach crosses a word edge, and a
+    range past reach couples no two sounds of any word. Returns it, the word
+    lengths and reach, for count_pairs and the chain scorer. Memory is linear
+    in the number of sounds: positions are scattered in int32, and the stream
+    keeps the words' type, widened only where it cannot hold d."""
+    flat = words._stream
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     reach = max(0, min(r_max, int(lengths.max(initial=0)) - 1))
     # Each sound's stream position: its place in the joined words plus the
     # padding up to its own word's.
     at = (reach * np.arange(1, len(words) + 1, dtype=np.int32)).repeat(lengths)
-    stream = np.full(len(flat) + reach * len(words), d, dtype=flat.dtype)
+    dtype = np.promote_types(flat.dtype, np.min_scalar_type(d))
+    stream = np.full(len(flat) + reach * len(words), d, dtype=dtype)
     at += np.arange(len(flat), dtype=np.int32)
     stream[at] = flat
     return stream, lengths, reach
@@ -293,7 +293,7 @@ def _log_chain_probabilities(
     each word's terms are summed in place in step order from 0.0, across
     block edges too, and every total equals the one-word chain bit for
     bit. Counts d evaluations per scored word-step toward eval_count()."""
-    stream, lengths, reach = _padded(_flatten(words, np.intp), words, m.d, m.r_max)
+    stream, lengths, reach = _padded(Words(words), m.d, m.r_max)
     scored = np.maximum(lengths - start, 0)
     word = np.arange(len(words)).repeat(scored)  # each word's steps in order
     # Each scored sound's stream position: the padding and unscored sounds up

@@ -78,17 +78,15 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     """Exact pair counts for every range 1..r_max. The total at range r
     equals sum over words of max(0, N - r).
 
-    The words' index stream (the parse's own, else built once), widened
-    only if its narrow type cannot hold d, is padded by model._padded, so
-    no pair within r_max crosses a word edge. At range r, position i pairs
-    with i + r: one intp bincount of s*(d+1) + s' over (d+1)^2 bins, whose
-    d x d block holds the pairs of real sounds. Ranges past every word stay zero."""
+    The words' index stream (the parse's own, else built once) is padded
+    by model._padded, so no pair within r_max crosses a word edge. At range
+    r, position i pairs with i + r: one intp bincount of s*(d+1) + s' over
+    (d+1)^2 bins, whose d x d block holds the pairs of real sounds. Ranges
+    past every word stay zero."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     d = corpus.alphabet.d
-    flat = corpus.words._stream
-    flat = flat.astype(np.promote_types(flat.dtype, np.min_scalar_type(d)), copy=False)
-    stream, _, reach = _padded(flat, corpus.words, d, r_max)
+    stream, _, reach = _padded(corpus.words, d, r_max)
     counts = np.zeros((r_max, d, d), dtype=np.int64)
     for r in range(1, reach + 1):
         pair = np.multiply(stream[:-r], d + 1, dtype=np.intp)
