@@ -235,11 +235,16 @@ def next_sound_distribution(
     m: InteractionModel, prefix: Sequence[int], beta: float = 1.0
 ) -> NextSoundDistribution:
     """Softmax of -beta * candidate energies, computed with max-subtraction
-    so large beta saturates instead of overflowing. beta=0 is uniform."""
+    so large beta saturates instead of overflowing. beta=0 is uniform.
+    Energies whose overflow leaves no probability defined raise ValueError."""
     _check_beta(beta)
-    energies = next_sound_energies(m, prefix)
-    weights = np.exp(-beta * (energies - energies.min()))
-    return NextSoundDistribution(energies, weights / weights.sum(), float(beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = next_sound_energies(m, prefix)
+        weights = np.exp(-beta * (energies - energies.min()))
+    total = weights.sum()  # each weight lies in [0, 1] or is nan
+    if not math.isfinite(total):
+        raise ValueError("energies overflow float64")
+    return NextSoundDistribution(energies, weights / total, float(beta))
 
 
 # Entries in one stacked (rows x d) array of the column and chain scorers,
@@ -292,7 +297,9 @@ def _log_chain_probabilities(
     no bit changes). np.add.at is unbuffered and adds in index order, so
     each word's terms are summed in place in step order from 0.0, across
     block edges too, and every total equals the one-word chain bit for
-    bit. Counts d evaluations per scored word-step toward eval_count()."""
+    bit. A row whose largest scaled energy overflows has no defined
+    log-softmax and raises ValueError. Counts d evaluations per scored
+    word-step toward eval_count()."""
     stream, lengths, reach = _padded(Words(words), m.d, m.r_max)
     scored = np.maximum(lengths - start, 0)
     word = np.arange(len(words)).repeat(scored)  # each word's steps in order
@@ -300,13 +307,18 @@ def _log_chain_probabilities(
     # to its word's first scored sound, plus its row.
     at = (lengths - scored + reach).cumsum()[word] + np.arange(len(word))
     totals = np.zeros(len(words))
-    for rows in _blocks(len(word), m.d):
-        w, a = word[rows], at[rows]
-        cross = _cross_energies(m, [stream[a - r] for r in range(1, reach + 1)], w.shape)
-        cross *= -beta
-        cross -= np.maximum.reduce(cross, axis=1, keepdims=True)
-        norm = np.log(np.add.reduce(np.exp(cross), axis=1))
-        np.add.at(totals, w, cross[np.arange(len(w)), stream[a]] - norm)
+    # A row with a finite shift keeps its bits, -inf terms included.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _blocks(len(word), m.d):
+            w, a = word[rows], at[rows]
+            cross = _cross_energies(m, [stream[a - r] for r in range(1, reach + 1)], w.shape)
+            cross *= -beta
+            top = np.maximum.reduce(cross, axis=1, keepdims=True)
+            if not np.isfinite(top).all():
+                raise ValueError("energies overflow float64")
+            cross -= top
+            norm = np.log(np.add.reduce(np.exp(cross), axis=1))
+            np.add.at(totals, w, cross[np.arange(len(w)), stream[a]] - norm)
     return totals
 
 
