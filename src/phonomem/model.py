@@ -268,7 +268,7 @@ def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, i
     range past reach couples no two sounds of any word. Returns it, the word
     lengths and reach, for count_pairs and the chain scorer. Memory is linear
     in the number of sounds: positions are scattered in int32, and the stream
-    keeps the words' type, widened only where it cannot hold d."""
+    keeps the words' type, widened only when it cannot hold d."""
     flat = words._stream
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     reach = max(0, min(r_max, int(lengths.max(initial=0)) - 1))
