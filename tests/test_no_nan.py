@@ -1,6 +1,6 @@
 """The scorers never return NaN from finite inputs: where float64 overflow
-leaves a probability undefined they raise ValueError, and every other
-result keeps the bits it had. Any RuntimeWarning is an error here
+leaves a probability undefined they raise ValueError; every other result
+keeps its bits (test_cross_term_table.py pins them). Any RuntimeWarning is an error here
 (pyproject's filterwarnings), so each call below also checks that numpy
 does not warn."""
 
@@ -26,23 +26,27 @@ def huge_g0_model(latin):
     return train(latin, g0=1e308)
 
 
-PROBES = {
-    "log_chain_probability-beta": lambda m, huge, latin, w: log_chain_probability(
-        m, (), w, beta=1e308
-    ),
-    "sequence_probability-beta": lambda m, huge, latin, w: sequence_probability(
-        m, (), w, beta=1e308
-    ),
-    "next_sound_distribution-g0": lambda m, huge, latin, w: next_sound_distribution(huge, w[:2]),
-    "predict_completions-g0": lambda m, huge, latin, w: predict_completions(huge, w[:1], latin),
-}
+PROBES = (
+    "log_chain_probability",
+    "sequence_probability",
+    "next_sound_distribution",
+    "predict_completions",
+)
 
 
-@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES.keys())
+@pytest.mark.parametrize("probe", PROBES)
 def test_each_overflow_probe_raises_value_error(latin, latin_model, huge_g0_model, probe):
-    servus = tokenize("servus", latin.alphabet)
+    w = tokenize("servus", latin.alphabet)
+    calls = {
+        # beta = 1e308 scales a negative cross term past float64.
+        "log_chain_probability": lambda: log_chain_probability(latin_model, (), w, 1e308),
+        "sequence_probability": lambda: sequence_probability(latin_model, (), w, 1e308),
+        # g0 = 1e308: two cross terms already sum past float64.
+        "next_sound_distribution": lambda: next_sound_distribution(huge_g0_model, w[:2]),
+        "predict_completions": lambda: predict_completions(huge_g0_model, w[:1], latin),
+    }
     with pytest.raises(ValueError, match="energies overflow float64"):
-        probe(latin_model, huge_g0_model, latin, servus)
+        calls[probe]()
 
 
 def test_saturated_distribution_keeps_its_bits_without_a_warning(latin, latin_model):
@@ -51,20 +55,15 @@ def test_saturated_distribution_keeps_its_bits_without_a_warning(latin, latin_mo
     with np.errstate(all="ignore"):
         weights = np.exp(-1e308 * (dist.energies - dist.energies.min()))
     assert dist.probabilities.tobytes() == (weights / weights.sum()).tobytes()
-    assert sorted(dist.probabilities.tolist())[-2:] == [0.0, 1.0]
+    assert sorted(dist.probabilities.tolist()) == [0.0] * (latin.alphabet.d - 1) + [1.0]
 
 
-def _value_or_value_error(call):
-    """The call's floats, or None when it raises ValueError."""
+def _no_nan_or_value_error(call):
     try:
-        result = call()
+        values = np.asarray(call(), dtype=float)
     except ValueError:
-        return None
-    if hasattr(result, "probabilities"):
-        return np.concatenate([result.energies, result.probabilities])
-    if isinstance(result, list):
-        return np.array([p for _, p in result], dtype=float)
-    return np.array([result])
+        return
+    assert not np.isnan(values).any()
 
 
 _HUGE = st.floats(min_value=-1e308, max_value=1e308) | st.sampled_from([1e308, -1e308, 0.0])
@@ -99,10 +98,10 @@ def test_scorers_return_no_nan_or_raise_value_error(kind, d, r_max, g0, beta, da
     cut = data.draw(st.integers(0, len(word)))
     prefix, rest = word[:cut], word[cut:]
     for call in (
-        lambda: next_sound_distribution(m, prefix, beta),
+        lambda: next_sound_distribution(m, prefix, beta).energies,
+        lambda: next_sound_distribution(m, prefix, beta).probabilities,
         lambda: log_chain_probability(m, prefix, rest, beta),
         lambda: sequence_probability(m, prefix, rest, beta),
-        lambda: predict_completions(m, prefix, lexicon, beta),
+        lambda: [p for _, p in predict_completions(m, prefix, lexicon, beta)],
     ):
-        values = _value_or_value_error(call)
-        assert values is None or not np.isnan(values).any()
+        _no_nan_or_value_error(call)
