@@ -10,6 +10,7 @@ construction. Lower energy means more probable.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -56,8 +57,9 @@ class InteractionModel:
     matrix per range 1..r_max. Immutable after construction (g is a private
     read-only copy, meta a deep read-only copy); all read operations are
     safe for concurrent use. The cross terms g0 - g are computed once, here,
-    into a read-only table that every scorer reads; the alphabet size d is
-    read once, here, into a plain attribute."""
+    into a read-only table that every scorer reads, with their largest
+    magnitude; the alphabet size d is read once, here, into a plain
+    attribute."""
 
     alphabet: Alphabet
     r_max: int
@@ -87,6 +89,7 @@ class InteractionModel:
         terms[:, :d] += g0 - g
         terms.setflags(write=False)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_term_max", float(np.abs(terms).max()))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g0", g0)
@@ -307,14 +310,20 @@ def _log_chain_probabilities(
     # to its word's first scored sound, plus its row.
     at = (lengths - scored + reach).cumsum()[word] + np.arange(len(word))
     totals = np.zeros(len(words))
-    # A row with a finite shift keeps its bits, -inf terms included.
-    with np.errstate(over="ignore", invalid="ignore"):
+    back = np.arange(1, reach + 1)[:, None]  # one row of offsets per range
+    # While this bound is finite, no row's sum, scaling or shift and no
+    # word's total can pass float64's max. Only past it does the loop run
+    # under an errstate and check each row's shift, which together cost
+    # about a tenth of a call on the embedded lists. A row with a finite
+    # shift keeps its bits, -inf terms included.
+    wild = not math.isfinite(len(word) * reach * m._term_max * max(2.0, 4.0 * beta))
+    with np.errstate(over="ignore", invalid="ignore") if wild else nullcontext():
         for rows in _blocks(len(word), m.d):
             w, a = word[rows], at[rows]
-            cross = _cross_energies(m, [stream[a - r] for r in range(1, reach + 1)], w.shape)
+            cross = _cross_energies(m, stream[a - back], w.shape)
             cross *= -beta
             top = np.maximum.reduce(cross, axis=1, keepdims=True)
-            if not np.isfinite(top).all():
+            if wild and not np.isfinite(top).all():
                 raise ValueError("energies overflow float64")
             cross -= top
             norm = np.log(np.add.reduce(np.exp(cross), axis=1))

@@ -1,8 +1,10 @@
 """The scorers never return NaN from finite inputs: where float64 overflow
 leaves a probability undefined they raise ValueError; every other result
-keeps its bits (test_cross_term_table.py pins them). Any RuntimeWarning is an error here
-(pyproject's filterwarnings), so each call below also checks that numpy
-does not warn."""
+keeps its bits (test_cross_term_table.py pins them). Any RuntimeWarning is
+an error here (pyproject's filterwarnings), so each call below also checks
+that numpy does not warn."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +58,21 @@ def test_saturated_distribution_keeps_its_bits_without_a_warning(latin, latin_mo
         weights = np.exp(-1e308 * (dist.energies - dist.energies.min()))
     assert dist.probabilities.tobytes() == (weights / weights.sum()).tobytes()
     assert sorted(dist.probabilities.tolist()) == [0.0] * (latin.alphabet.d - 1) + [1.0]
+
+
+@pytest.mark.parametrize("scale", [200, 20], ids=["no-errstate", "errstate"])
+def test_chain_total_near_float64_max_neither_warns_nor_raises(scale):
+    # After a, b is favoured by one unit, so each step of a word of a's costs
+    # beta: the total of 49 steps is -49 * beta, finite at MAX / 200 (where
+    # the scorer's bound lets it run without an errstate) and past -MAX,
+    # so -inf, at MAX / 20.
+    m = InteractionModel(Alphabet(("a", "b")), 1, 0.0, np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+    beta = sys.float_info.max / scale
+    total = 0.0
+    for _ in range(49):
+        total -= beta
+    got = log_chain_probability(m, (0,), (0,) * 49, beta)
+    assert got.hex() == total.hex() and (got == -np.inf) == (scale == 20)
 
 
 def _no_nan_or_value_error(call):
