@@ -10,7 +10,6 @@ construction. Lower energy means more probable.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -57,9 +56,8 @@ class InteractionModel:
     matrix per range 1..r_max. Immutable after construction (g is a private
     read-only copy, meta a deep read-only copy); all read operations are
     safe for concurrent use. The cross terms g0 - g are computed once, here,
-    into a read-only table that every scorer reads, with their largest
-    magnitude; the alphabet size d is read once, here, into a plain
-    attribute."""
+    into a read-only table that every scorer reads; the alphabet size d is
+    read once, here, into a plain attribute."""
 
     alphabet: Alphabet
     r_max: int
@@ -84,12 +82,13 @@ class InteractionModel:
         g.setflags(write=False)
         # The cross terms g0 - g, plus a row d of 0.0 per range: index d reads
         # as "no sound that far back". Summed onto 0.0, so a -0.0 term is
-        # stored as +0.0, as the scorers' own 0.0 start would make it.
+        # stored as +0.0, as the scorers' own 0.0 start would make it. A term
+        # below -float64 max is stored as -inf, which the scorers take in.
         terms = np.zeros((self.r_max, d + 1, d))
-        terms[:, :d] += g0 - g
+        with np.errstate(over="ignore"):
+            terms[:, :d] += g0 - g
         terms.setflags(write=False)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_term_max", float(np.abs(terms).max()))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g0", g0)
@@ -234,6 +233,7 @@ class NextSoundDistribution:
     beta: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # one errstate per call
 def next_sound_distribution(
     m: InteractionModel, prefix: Sequence[int], beta: float = 1.0
 ) -> NextSoundDistribution:
@@ -241,9 +241,8 @@ def next_sound_distribution(
     so large beta saturates instead of overflowing. beta=0 is uniform.
     Energies whose overflow leaves no probability defined raise ValueError."""
     _check_beta(beta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = next_sound_energies(m, prefix)
-        weights = np.exp(-beta * (energies - energies.min()))
+    energies = next_sound_energies(m, prefix)
+    weights = np.exp(-beta * (energies - energies.min()))
     total = weights.sum()  # each weight lies in [0, 1] or is nan
     if not math.isfinite(total):
         raise ValueError("energies overflow float64")
@@ -285,6 +284,7 @@ def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, i
     return stream, lengths, reach
 
 
+@np.errstate(over="ignore", invalid="ignore")  # one errstate per call
 def _log_chain_probabilities(
     m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
 ) -> np.ndarray:
@@ -310,24 +310,16 @@ def _log_chain_probabilities(
     # to its word's first scored sound, plus its row.
     at = (lengths - scored + reach).cumsum()[word] + np.arange(len(word))
     totals = np.zeros(len(words))
-    back = np.arange(1, reach + 1)[:, None]  # one row of offsets per range
-    # While this bound is finite, no row's sum, scaling or shift and no
-    # word's total can pass float64's max. Only past it does the loop run
-    # under an errstate and check each row's shift, which together cost
-    # about a tenth of a call on the embedded lists. A row with a finite
-    # shift keeps its bits, -inf terms included.
-    wild = not math.isfinite(len(word) * reach * m._term_max * max(2.0, 4.0 * beta))
-    with np.errstate(over="ignore", invalid="ignore") if wild else nullcontext():
-        for rows in _blocks(len(word), m.d):
-            w, a = word[rows], at[rows]
-            cross = _cross_energies(m, stream[a - back], w.shape)
-            cross *= -beta
-            top = np.maximum.reduce(cross, axis=1, keepdims=True)
-            if wild and not np.isfinite(top).all():
-                raise ValueError("energies overflow float64")
-            cross -= top
-            norm = np.log(np.add.reduce(np.exp(cross), axis=1))
-            np.add.at(totals, w, cross[np.arange(len(w)), stream[a]] - norm)
+    for rows in _blocks(len(word), m.d):
+        w, a = word[rows], at[rows]
+        cross = _cross_energies(m, [stream[a - r] for r in range(1, reach + 1)], w.shape)
+        cross *= -beta
+        cross -= np.maximum.reduce(cross, axis=1, keepdims=True)
+        norm = np.log(np.add.reduce(np.exp(cross), axis=1))
+        # A row's norm is NaN exactly where its shift is not finite.
+        if math.isnan(np.add.reduce(norm)):
+            raise ValueError("energies overflow float64")
+        np.add.at(totals, w, cross[np.arange(len(w)), stream[a]] - norm)
     return totals
 
 

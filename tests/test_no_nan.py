@@ -60,12 +60,11 @@ def test_saturated_distribution_keeps_its_bits_without_a_warning(latin, latin_mo
     assert sorted(dist.probabilities.tolist()) == [0.0] * (latin.alphabet.d - 1) + [1.0]
 
 
-@pytest.mark.parametrize("scale", [200, 20], ids=["no-errstate", "errstate"])
+@pytest.mark.parametrize("scale", [200, 20], ids=["finite", "-inf"])
 def test_chain_total_near_float64_max_neither_warns_nor_raises(scale):
     # After a, b is favoured by one unit, so each step of a word of a's costs
-    # beta: the total of 49 steps is -49 * beta, finite at MAX / 200 (where
-    # the scorer's bound lets it run without an errstate) and past -MAX,
-    # so -inf, at MAX / 20.
+    # beta: the total of 49 steps is -49 * beta, finite at MAX / 200 and
+    # past -MAX, so -inf, at MAX / 20. Every row's shift stays finite.
     m = InteractionModel(Alphabet(("a", "b")), 1, 0.0, np.array([[[0.0, 1.0], [0.0, 0.0]]]))
     beta = sys.float_info.max / scale
     total = 0.0
@@ -73,6 +72,15 @@ def test_chain_total_near_float64_max_neither_warns_nor_raises(scale):
         total -= beta
     got = log_chain_probability(m, (0,), (0,) * 49, beta)
     assert got.hex() == total.hex() and (got == -np.inf) == (scale == 20)
+
+
+def test_a_table_that_overflows_to_minus_inf_builds_without_a_warning():
+    # g0 - g = -1e308 - 8e307 is past -float64 max.
+    g = np.array([[[0.0, 8e307], [0.0, 0.0]]])
+    m = InteractionModel(Alphabet(("a", "b")), 1, -1e308, g)
+    assert m._terms[0, 0].tolist() == [-1e308, -np.inf]
+    with pytest.raises(ValueError, match="energies overflow float64"):
+        log_chain_probability(m, (0,), (1,))
 
 
 def _no_nan_or_value_error(call):
@@ -107,10 +115,10 @@ def test_scorers_return_no_nan_or_raise_value_error(kind, d, r_max, g0, beta, da
     else:
         size = r_max * d * d
         g = data.draw(st.lists(st.floats(0.0, 1e308), min_size=size, max_size=size))
-        # The table g0 - g itself overflows to -inf below g0 = -1.8e308 + g,
-        # which the scorers must then meet without NaN.
-        with np.errstate(over="ignore"):
-            m = InteractionModel(al, r_max, g0, np.reshape(g, (r_max, d, d)))
+        # The table g0 - g itself overflows to -inf below g0 = -1.8e308 + g:
+        # the model stores it without a warning, and the scorers meet it
+        # without NaN.
+        m = InteractionModel(al, r_max, g0, np.reshape(g, (r_max, d, d)))
     word = tuple(data.draw(st.sampled_from(words)))
     cut = data.draw(st.integers(0, len(word)))
     prefix, rest = word[:cut], word[cut:]
