@@ -163,12 +163,19 @@ def _cross_energies(
     an int array of `rows` entries for one row per entry; index d means no
     sound that far back and reads the table's 0.0 row. Each range's rows are
     one gather from the precomputed g0 - g table. The sum starts from the
-    first two ranges' rows and adds the rest in r order; the table holds no
+    first range's rows and adds the rest in r order; the table holds no
     -0.0, so it equals a sum from 0.0 bit for bit, and a row equals its
     one-row case. Adds d per row to eval_count()."""
     global _EVALS
     _EVALS += m.d * math.prod(rows)
     terms = m._terms
+    if rows and len(back):
+        # Index arrays: take gathers a range's rows about twice as fast as
+        # fancy indexing, the first into a fresh array to sum into.
+        cross = terms[0].take(back[0], 0)
+        for r in range(1, len(back)):
+            cross += terms[r].take(back[r], 0)
+        return cross
     if len(back) < 2:
         # A copy: the table is read-only, and the chain scorer scales its block in place.
         return terms[0, back[0]].copy() if len(back) else np.zeros(rows + (m.d,))
@@ -273,7 +280,7 @@ def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, i
     keeps the words' type, widened only when it cannot hold d."""
     flat = words._stream
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    reach = max(0, min(r_max, int(lengths.max(initial=0)) - 1))
+    reach = max(0, min(r_max, int(np.maximum.reduce(lengths, initial=0)) - 1))
     # Each sound's stream position: its place in the joined words plus the
     # padding up to its own word's.
     at = (reach * np.arange(1, len(words) + 1, dtype=np.int32)).repeat(lengths)
@@ -304,22 +311,25 @@ def _log_chain_probabilities(
     log-softmax and raises ValueError. Counts d evaluations per scored
     word-step toward eval_count()."""
     stream, lengths, reach = _padded(Words(words), m.d, m.r_max)
-    scored = np.maximum(lengths - start, 0)
-    word = np.arange(len(words)).repeat(scored)  # each word's steps in order
+    head = np.minimum(lengths, start)  # each word's unscored sounds
+    word = np.arange(len(words)).repeat(lengths - head)  # each word's steps in order
     # Each scored sound's stream position: the padding and unscored sounds up
     # to its word's first scored sound, plus its row.
-    at = (lengths - scored + reach).cumsum()[word] + np.arange(len(word))
+    at = (head + reach).cumsum()[word] + np.arange(len(word))
     totals = np.zeros(len(words))
+    back = np.arange(reach + 1)[:, None]  # the sound, then its tail by range
     for rows in _blocks(len(word), m.d):
-        w, a = word[rows], at[rows]
-        cross = _cross_energies(m, [stream[a - r] for r in range(1, reach + 1)], w.shape)
+        w = word[rows]
+        sounds = stream[at[rows] - back]
+        cross = _cross_energies(m, sounds[1:], w.shape)
         cross *= -beta
         cross -= np.maximum.reduce(cross, axis=1, keepdims=True)
         norm = np.log(np.add.reduce(np.exp(cross), axis=1))
         # A row's norm is NaN exactly where its shift is not finite.
         if math.isnan(np.add.reduce(norm)):
             raise ValueError("energies overflow float64")
-        np.add.at(totals, w, cross[np.arange(len(w)), stream[a]] - norm)
+        said = cross.take(sounds[0] + np.arange(0, cross.size, m.d))
+        np.add.at(totals, w, said - norm)
     return totals
 
 
