@@ -10,6 +10,7 @@ construction. Lower energy means more probable.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -100,6 +101,11 @@ class InteractionModel:
         ndarray indexing in the pair walk; built on first use, and two
         threads racing on that build get equal lists."""
         return self._terms[:, : self.d].tolist()
+
+    @cached_property
+    def _term_max(self) -> float:
+        """The largest |g0 - g| in the table: inf where a term overflowed."""
+        return float(np.abs(self._terms).max())
 
     @classmethod
     def untrained(
@@ -291,7 +297,6 @@ def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, i
     return stream, lengths, reach
 
 
-@np.errstate(over="ignore", invalid="ignore")  # one errstate per call
 def _log_chain_probabilities(
     m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
 ) -> np.ndarray:
@@ -318,18 +323,23 @@ def _log_chain_probabilities(
     at = (head + reach).cumsum()[word] + np.arange(len(word))
     totals = np.zeros(len(words))
     back = np.arange(reach + 1)[:, None]  # the sound, then its tail by range
-    for rows in _blocks(len(word), m.d):
-        w = word[rows]
-        sounds = stream[at[rows] - back]
-        cross = _cross_energies(m, sounds[1:], w.shape)
-        cross *= -beta
-        cross -= np.maximum.reduce(cross, axis=1, keepdims=True)
-        norm = np.log(np.add.reduce(np.exp(cross), axis=1))
-        # A row's norm is NaN exactly where its shift is not finite.
-        if math.isnan(np.add.reduce(norm)):
-            raise ValueError("energies overflow float64")
-        said = cross.take(sounds[0] + np.arange(0, cross.size, m.d))
-        np.add.at(totals, w, said - norm)
+    # While this bound is finite, no sum, scaling, shift or total can pass
+    # float64's max: numpy has nothing to warn of and every row's shift is
+    # finite. Past it, the call runs under one errstate and checks its rows.
+    wild = not math.isfinite(len(word) * reach * m._term_max * max(2.0, 4.0 * beta))
+    with np.errstate(over="ignore", invalid="ignore") if wild else nullcontext():
+        for rows in _blocks(len(word), m.d):
+            w = word[rows]
+            sounds = stream[at[rows] - back]
+            cross = _cross_energies(m, sounds[1:], w.shape)
+            cross *= -beta
+            cross -= np.maximum.reduce(cross, axis=1, keepdims=True)
+            norm = np.log(np.add.reduce(np.exp(cross), axis=1))
+            # A row's norm is NaN exactly where its shift is not finite.
+            if wild and math.isnan(np.add.reduce(norm)):
+                raise ValueError("energies overflow float64")
+            said = cross.take(sounds[0] + np.arange(0, cross.size, m.d))
+            np.add.at(totals, w, said - norm)
     return totals
 
 

@@ -64,7 +64,9 @@ def test_saturated_distribution_keeps_its_bits_without_a_warning(latin, latin_mo
 def test_chain_total_near_float64_max_neither_warns_nor_raises(scale):
     # After a, b is favoured by one unit, so each step of a word of a's costs
     # beta: the total of 49 steps is -49 * beta, finite at MAX / 200 and
-    # past -MAX, so -inf, at MAX / 20. Every row's shift stays finite.
+    # past -MAX, so -inf, at MAX / 20. Every row's shift stays finite. The
+    # scorer runs the first bare and the second, past its overflow bound,
+    # under its errstate.
     m = InteractionModel(Alphabet(("a", "b")), 1, 0.0, np.array([[[0.0, 1.0], [0.0, 0.0]]]))
     beta = sys.float_info.max / scale
     total = 0.0
