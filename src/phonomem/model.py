@@ -183,7 +183,7 @@ def _cross_energies(
             cross += terms[r].take(back[r], 0)
         return cross
     if len(back) < 2:
-        # A copy: the table is read-only, and the chain scorer scales its block in place.
+        # A copy: the table is read-only, and a caller may write to its row.
         return terms[0, back[0]].copy() if len(back) else np.zeros(rows + (m.d,))
     cross = terms[0, back[0]] + terms[1, back[1]]
     for r in range(2, len(back)):
