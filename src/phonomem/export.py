@@ -24,7 +24,8 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
     column arrays without building nodes. Only input words that start with
     the root prefix, as every node does, can match or extend a node; a
     `Words` (such as `Corpus.words`) serves them from its index, and any
-    other iterable is wrapped in one first."""
+    other iterable is wrapped in one first. An alphabet whose symbols are
+    not the model's raises ValueError."""
     p = space.prefix
     if not isinstance(input_words, Words):
         input_words = Words(map(tuple, input_words))
@@ -37,6 +38,8 @@ def _walk(space: BranchSpace, alphabet: Alphabet, input_words: Iterable[Word]):
     words, flags, edges = [detokenize(p, alphabet)], [flag_of.get(p, _PSEUDO)], []
     if alphabet.d < space.model.d:  # raise the out-of-range error of the first node past it
         _check_indices(np.concatenate([c.symbol for c in space.columns[1:]]).tolist(), alphabet.d)
+    if alphabet.symbols != space.model.alphabet.symbols:
+        raise ValueError("alphabet does not match the model alphabet")
     # Only flagged nodes and an empty root keep their sound tuple: a
     # pseudoword with a flagged child would be a proper prefix, unless empty.
     looked = {0: p} if flags[0] != _PSEUDO or not words[0] else {}
