@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,6 @@ def test_an_overflow_in_the_last_block_is_refused(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         finite = predict_completions(m, (0,), Corpus(m.alphabet, words[:-1]))
-        assert len(finite) == 2
+        assert len(finite) == 2 and all(math.isfinite(p) for _, p in finite)
         with pytest.raises(ValueError, match="energies overflow float64"):
             predict_completions(m, (0,), Corpus(m.alphabet, words))
