@@ -4,7 +4,9 @@ Tensors are stored row-major with an explicit shape, as decimal floats at
 full round-trip precision, so a saved model reloads bit-exactly. The file
 puts each top-level key on its own line and each tensor row on its own
 line, so it stays line-diffable while every value goes through the C JSON
-encoder (an indented dump would run the pure-Python one).
+encoder (an indented dump would run the pure-Python one). Each distinct
+value of a range goes through it once, and the rows are joined from those
+strings.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ def model_from_dict(payload: dict) -> InteractionModel:
             tuple((k, v) for k, v in payload.get("digraphs", [])),
         )
         shape = tuple(payload["g"]["shape"])
+        if min(shape, default=0) < 0:  # numpy's reshape reads -1 as "infer"
+            raise ValueError("g.shape holds a negative length")
         # array("d") takes numbers only (a bool as 0 or 1), where numpy would
         # also parse numeric strings, and costs no per-item type check.
         tensors = np.frombuffer(array("d", payload["g"]["data"])).reshape(shape)
@@ -108,8 +112,13 @@ def _model_text(m: InteractionModel) -> str:
     for key, value in head.items():
         parts += [" ", _dumps(key), ": ", _dumps(value), ",\n"]
     parts.append(f' "g": {{"shape": {_dumps(m.g.shape)}, "data": [\n  ')
-    for row in m.g.reshape(-1, m.g.shape[-1]).tolist():
-        parts += [_dumps(row)[1:-1], ",\n  "]
+    for matrix in m.g:
+        # A trained range is u + v*count, so it holds few distinct values: each
+        # is formatted once, keyed by its bits so that -0.0 and 0.0 stay apart.
+        bits, inverse = np.unique(matrix.view(np.uint64), return_inverse=True)
+        reprs = np.array(_dumps(bits.view(np.float64).tolist())[1:-1].split(", "), object)
+        for row in reprs[inverse.reshape(matrix.shape)].tolist():
+            parts += [", ".join(row), ",\n  "]
     parts[-1] = "\n ]},\n"  # the last row takes no comma
     parts += [' "meta": ', _dumps(m.meta), "\n}\n"]
     return "".join(parts)

@@ -213,3 +213,20 @@ def test_integer_literal_past_the_digit_limit_is_data_error(paths, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_negative_shape_length_is_data_error(paths, tmp_path, capsys, axis):
+    # numpy's reshape would read -1 as "infer this length" and load the file.
+    payload = json.loads(Path(paths["model"]).read_text(encoding="utf-8"))
+    payload["g"]["shape"][axis] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="negative length"):
+        load_model(bad)
+    capsys.readouterr()
+    assert main(["energy", str(bad), "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+    assert load_model(paths["model"]).g.shape == (3, 18, 18)

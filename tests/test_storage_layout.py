@@ -4,11 +4,16 @@ loads."""
 
 import dataclasses
 import json
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from phonomem import TrainConfig, load_model, parse_corpus, save_model, train
+from phonomem import Alphabet, TrainConfig, load_model, parse_corpus, save_model, train
+from phonomem.model import InteractionModel
 from phonomem.storage import model_to_dict
+from phonomem.trainer import count_pairs
 
 
 @pytest.fixture(
@@ -118,3 +123,57 @@ def test_failed_save_keeps_earlier_file(tmp_path, model):
         save_model(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+# Values whose text differs though they compare equal (0.0, -0.0), the
+# extremes of float64, and plain repeats.
+SPECIAL = [0.0, -0.0, 5e-324, sys.float_info.max, 1.0, 0.1, 2.5]
+
+
+@st.composite
+def tensors(draw):
+    r_max, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    size = r_max * d * d
+    finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):  # all distinct, as no trained range is
+        values = draw(st.lists(finite, min_size=size, max_size=size, unique_by=float.hex))
+    else:
+        values = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), finite),
+                               min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).reshape(r_max, d, d)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=tensors())
+@example(g=np.array([[[0.0, -0.0], [-0.0, 0.0]], [[5e-324, sys.float_info.max], [0.0, 0.0]]]))
+@example(g=np.array([[[-0.0]]]))
+def test_tensor_lines_are_the_per_row_dumps(tmp_path, g):
+    """Byte-exact, not equal in value: a -0.0 written as 0.0 would parse equal."""
+    d = g.shape[-1]
+    m = InteractionModel(Alphabet(tuple("abcdef"[:d])), g.shape[0], 1.0, g)
+    path = tmp_path / "m.json"
+    save_model(m, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(' "g": ')) + 1
+    reference = [json.dumps(row, ensure_ascii=False)[1:-1] for row in g.reshape(-1, d).tolist()]
+    assert lines[start : start + len(reference)] == [f"  {row}," for row in reference[:-1]] + [
+        f"  {reference[-1]}"
+    ]
+    assert load_model(path).g.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("name", ["latin", "turkish"])
+@pytest.mark.parametrize("normalize", ["none", "per-range-sum"])
+@pytest.mark.parametrize(
+    "cfg", [{"g_init": 0.0}, {"g_init": 0.5}, {"timesteps": 0}], ids=["g_init-0", "g_init-0.5", "steps-0"]
+)
+def test_a_trained_range_holds_no_more_values_than_its_counts(request, name, normalize, cfg):
+    """save_model formats each distinct value of a range once; it is cheap
+    because a trained range u + v*count has at most as many distinct values
+    as its distinct pair counts."""
+    corpus = request.getfixturevalue(name)
+    m = train(corpus, TrainConfig(normalize=normalize, **cfg), r_max=5)
+    counts = count_pairs(corpus, 5).counts
+    for matrix, count in zip(m.g, counts):
+        assert len(np.unique(matrix.view(np.uint64))) <= len(np.unique(count))
