@@ -10,10 +10,9 @@ downstream.
 
 from __future__ import annotations
 
-import hashlib
 import operator
-import re
 import unicodedata
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, pairwise
@@ -34,18 +33,12 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+# One line's tokens before NFC: _read_tokens reads the same tokens from all
+# lines in one pass.
 def _split_tokens(line: str) -> list[str]:
     if line.lstrip().startswith("#"):
         return []
     return line.replace(",", " ").split()
-
-
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
-
-
-def _check_well_formed(line: str, lineno: int) -> None:
-    if _SURROGATE.search(line):
-        raise CorpusError(f"line {lineno}: malformed byte sequence")
 
 
 def _check_spellings(spellings: Iterable[str]) -> None:
@@ -118,30 +111,46 @@ class Alphabet:
 def _read_tokens(
     lines: Iterable[str], digraph_table: Optional[Mapping[str, str]]
 ) -> tuple[Alphabet, list[str], Optional[np.ndarray]]:
-    """One pass over the lines: the alphabet of `build_inventory`, every
-    token of the lines, normalized, in order, and, when every symbol is one
-    character, the tokens' symbol indices laid end to end (else None)."""
+    """Whole-text passes over the lines: the alphabet of `build_inventory`,
+    every token of the lines, normalized, in order, and, when every symbol
+    is one character, the tokens' symbol indices in order with index d
+    between tokens, in the narrowest type that holds d (else None)."""
     digraphs = dict(digraph_table or {})
     _check_spellings(digraphs)
-    texts: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        _check_well_formed(line, lineno)
-        texts.extend(map(normalize, _split_tokens(line)))
+    lines = list(lines)
+    text = "\n".join(lines)
+    try:
+        # A surrogate code point is what no UTF-8 byte sequence decodes to,
+        # and exactly what a UTF-16 encode refuses.
+        text.encode("utf-16-le")
+    except UnicodeEncodeError as exc:
+        lineno = bisect(list(accumulate(len(line) + 1 for line in lines)), exc.start) + 1
+        raise CorpusError(f"line {lineno}: malformed byte sequence") from None
+    if "#" in text:
+        text = "\n".join([line for line in lines if not line.lstrip().startswith("#")])
+    # One NFC over the text gives each token's own NFC: every separator of
+    # str.split is a starter that no canonical composition takes part in,
+    # and the only ones NFC changes, U+2000 and U+2001, become U+2002 and
+    # U+2003, which are separators too.
+    texts = normalize(text.replace(",", " ")).split()
     if not texts:
         raise CorpusError("empty corpus")
     if not digraphs:
         # With no digraphs and no combining mark, _split yields each
-        # character. The code points are read as one array: the distinct
-        # ones, ordered by first appearance, are the alphabet, and one
-        # lookup turns every code point into its symbol index.
-        joined = "".join(texts)
+        # character. The code points are read as one array, the tokens
+        # joined by spaces: the distinct ones but the space, ordered by
+        # first appearance, are the alphabet, and one lookup turns every
+        # code point into its symbol index and every space into index d.
+        joined = " ".join(texts)
         codes = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
-        present = np.zeros(int(codes.max()) + 1, dtype=bool)
+        present = np.zeros(max(int(codes.max()), 32) + 1, dtype=bool)
         present[codes] = True
+        present[32] = False
         chars = sorted(map(chr, np.flatnonzero(present).tolist()), key=joined.find)
         if not any(map(unicodedata.combining, chars)):
-            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(chars) - 1))
-            lookup[list(map(ord, chars))] = np.arange(len(chars))
+            d = len(chars)
+            lookup = np.full(len(present), d, dtype=np.min_scalar_type(d))
+            lookup[list(map(ord, chars))] = np.arange(d)
             return Alphabet(tuple(chars)), texts, lookup[codes]
     lengths = sorted({len(k) for k in digraphs}, reverse=True)
     seen: dict[str, None] = {}
@@ -263,6 +272,10 @@ class Corpus:
 
 def surface_digest(surface_words: Sequence[str]) -> str:
     """The digest `Corpus.sha256` gives for these surface words."""
+    # Imported here: only training and digests need it, and loading OpenSSL
+    # costs every other import of the package ~3 ms.
+    import hashlib
+
     return hashlib.sha256("\n".join(surface_words).encode("utf-8")).hexdigest()
 
 
@@ -271,17 +284,24 @@ def parse_corpus(
     source: str = "<memory>",
     digraph_table: Optional[Mapping[str, str]] = None,
 ) -> Corpus:
-    alphabet, texts, indices = _read_tokens(lines, digraph_table)
-    if indices is None:
+    alphabet, texts, cut = _read_tokens(lines, digraph_table)
+    if cut is None:
         return Corpus(alphabet, Words([tokenize(t, alphabet) for t in texts]), source)
-    # Per character: each token is cut from the index stream by its length,
-    # and is its own word's spelling. Slices of bytes (one byte per index,
-    # d <= 256) turn into tuples fastest. The words keep the index array
-    # itself, in its narrowest type, as their stream.
-    stream = indices.tobytes() if indices.itemsize == 1 else memoryview(indices)
-    bounds = pairwise(accumulate(map(len, texts), initial=0))
-    words = Words([tuple(stream[i:j]) for i, j in bounds])
-    words._stream = indices
+    # Per character: each token is its own word's spelling. The words keep
+    # their indices end to end, in the narrowest type that holds d - 1, as
+    # their stream.
+    d = alphabet.d
+    sounds = cut[cut != d].astype(np.min_scalar_type(d - 1), copy=False)
+    if cut.itemsize == 1:
+        # d <= 255: index d ends each word, so one bytes split cuts them all.
+        words = Words(map(tuple, cut.tobytes().split(bytes([d]))))
+    else:
+        # Each word is cut from the stream by its length. Slices of bytes
+        # (one byte per index, d = 256) turn into tuples fastest.
+        stream = sounds.tobytes() if sounds.itemsize == 1 else memoryview(sounds)
+        bounds = pairwise(accumulate(map(len, texts), initial=0))
+        words = Words([tuple(stream[i:j]) for i, j in bounds])
+    words._stream = sounds
     corpus = Corpus(alphabet, words, source)
     object.__setattr__(corpus, "_surface", tuple(texts))
     return corpus

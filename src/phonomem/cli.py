@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -211,6 +212,9 @@ def cmd_explore(args) -> int:
     return 0
 
 
+# Built once per process: parse_args does not change the parser, and
+# _Parser.error reads sys.stderr when it is called.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phonomem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,12 +4,15 @@ unknown-symbol errors."""
 
 import importlib.util
 import random
+import sys
+import unicodedata
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from phonomem import Alphabet, CorpusError, UnknownSymbolError, build_inventory, parse_corpus, tokenize
+from phonomem import Alphabet, Corpus, CorpusError, UnknownSymbolError, build_inventory, parse_corpus, tokenize
 from phonomem.alphabet import _split, _split_tokens, normalize
 
 
@@ -122,3 +125,93 @@ def test_fuzz_matches_split_reference(seed):
     ]
     assert_paths_agree(lines, table, probes)
 
+
+# Every separator of str.split on this interpreter (its Unicode version).
+SEPARATORS = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".split()) == 2]
+JAMO = ["ᄀ", "ᄂ", "ᅡ", "ᅥ", "ᆨ", "ᆫ", "가"]  # L, V, T, LV
+
+
+def test_one_nfc_over_the_text_is_each_tokens_nfc():
+    # The premise of the parse's single NFC: no separator reorders, and no
+    # canonical decomposition touches one but U+2000 -> U+2002 and U+2001
+    # -> U+2003, both separators, so no composition crosses a separator.
+    separators = set(SEPARATORS)
+    assert set("\t\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u3000") <= separators
+    assert not any(map(unicodedata.combining, separators))
+    touching = {}
+    for c in map(chr, range(sys.maxunicode + 1)):
+        fields = unicodedata.decomposition(c).split()
+        if fields and not fields[0].startswith("<"):
+            parts = "".join(chr(int(h, 16)) for h in fields)
+            if c in separators or separators.intersection(parts):
+                touching[c] = parts
+    assert touching == {"\u2000": "\u2002", "\u2001": "\u2003"}
+    assert set(touching.values()) <= separators
+
+
+def _whole_text_token(rng, pieces, marks):
+    token = "".join(rng.choice(pieces + marks) for _ in range(rng.randint(1, 5)))
+    if marks and rng.random() < 0.2:
+        token = rng.choice(marks) + token  # token-initial combining mark
+    return token
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_whole_text_fuzz_matches_split_reference(seed):
+    rng = random.Random(f"whole-text:{seed}")
+    # Odd seeds leave out combining marks, so the per-character path runs
+    # (Hangul jamo are not combining marks, and NFC composes them).
+    pieces = ["a", "e", "ş", "ā"] + JAMO
+    marks = MARKS if seed % 2 == 0 else []
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        parts = []
+        for _ in range(rng.randint(0, 8)):
+            parts += [_whole_text_token(rng, pieces, marks), rng.choice(SEPARATORS + [",", ", ", ",,"])]
+        line = "".join(parts)
+        if rng.random() < 0.2:
+            line = rng.choice(["#", " #", "\t#", "\u3000#"]) + line
+        if rng.random() < 0.15:  # an embedded newline, maybe before a '#'
+            line += "\n" + rng.choice(["#", ""]) + _whole_text_token(rng, pieces, marks)
+        lines.append(line)
+    probes = [_whole_text_token(rng, pieces, marks) for _ in range(4)]
+    alphabet = assert_paths_agree(lines, probes=probes)
+    if alphabet is not None and not marks:
+        assert alphabet._per_char
+
+
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        (["servus", "# a \udc80 comment", "via \ud800"], 2),  # in a comment line
+        (["# one", "  # two", "bad \ud800 word", "via"], 3),  # after comment lines
+        (["servus", "via, domina", "last \udfff"], 3),  # in the last line
+    ],
+    ids=["in-comment", "after-comments", "last-line"],
+)
+def test_surrogate_names_its_line(lines, lineno):
+    for parse in (build_inventory, parse_corpus):
+        for given in (lines, iter(lines)):
+            with pytest.raises(CorpusError, match=f"^line {lineno}: malformed byte sequence$"):
+                parse(given)
+
+
+@pytest.mark.parametrize("d", [254, 255, 256])
+def test_word_cut_at_the_one_byte_edge(d):
+    # Up to d = 255, index d ends each parsed word in one byte; at 256 the
+    # parse slices its stream by word lengths instead. Words holding index
+    # d - 1 or the bytes of a space and a newline sit beside one-sound words.
+    rng = random.Random(d)
+    symbols = tuple(chr(0x100 + i) for i in range(d))
+    words = [tuple(range(d)), (d - 1,), (d - 1, d - 1), (0,), (10, 32, 10)]
+    words += [tuple(rng.randrange(d) for _ in range(rng.randint(1, 9))) for _ in range(300)]
+    spelled = ["".join(symbols[i] for i in w) for w in words]
+    lines = [" ".join(spelled[k : k + 7]) for k in range(0, len(spelled), 7)]
+    parsed = parse_corpus(lines)
+    built = Corpus(Alphabet(symbols), tuple(words))
+    assert parsed.alphabet == built.alphabet
+    assert parsed.words == built.words
+    assert {type(i) for w in parsed.words for i in w} == {int}
+    assert parsed.words._stream.dtype == np.uint8
+    np.testing.assert_array_equal(parsed.words._stream, built.words._stream)
+    assert parsed.surface_words() == built.surface_words() == spelled

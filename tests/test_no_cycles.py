@@ -44,13 +44,13 @@ from phonomem import (
     verify_decay,
     word_energy,
 )
-from phonomem.cli import _Parser, main
+from phonomem.cli import main
 from phonomem.export import branch_to_dot, branch_to_json
 from phonomem.generator import BranchNode
 
 # Cycles by design: a node's parent and children_right link both ways (built
-# only by nodes(), root or indexing), and argparse's parser graph is its own.
-_EXEMPT = (BranchNode, _Parser)
+# only by nodes(), root or indexing).
+_EXEMPT = (BranchNode,)
 
 
 def _library_calls(latin, m, tmp_path):
