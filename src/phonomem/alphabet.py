@@ -201,7 +201,9 @@ def detokenize(word: Sequence[int], alphabet: Alphabet) -> str:
 class Words(tuple):
     """An immutable word list that compares, hashes, iterates and dumps to
     JSON as the plain tuple of its words, and answers "which words start
-    with this prefix" from an index by first sound, built on first use."""
+    with this prefix" from an index by first sound, built on first use. It
+    also keeps, per model shape, its sounds as the chain scorer's rows by
+    first sound (`_rows`), for predict_completions."""
 
     @cached_property
     def _stream(self) -> np.ndarray:
@@ -216,6 +218,42 @@ class Words(tuple):
         for w in self:
             by_head.setdefault(w[:1], []).append(w)
         return by_head
+
+    def _rows(self, d: int, r_max: int) -> tuple:
+        """Every sound of the list as one chain-scorer row, for a model of d
+        symbols and range r_max: `model._padded`'s stream, in the narrowest
+        type that holds d, and reach; then each row's stream position, word
+        index and position in its word, ordered by (first sound, position,
+        word); and the row bounds of first sound h, bounds[h] to
+        bounds[h + 1]. So a word's rows come in step order. Built in one
+        array pass on first use for each (d, r_max), in the narrowest index
+        types; racing builds give equal arrays."""
+        built = self.__dict__.setdefault("_rows_by_shape", {})
+        rows = built.get((d, r_max))
+        if rows is None:
+            from .model import _padded  # model imports this module
+
+            stream, lengths, reach = _padded(self, d, r_max)
+            narrow = np.min_scalar_type
+            longest = int(lengths.max(initial=0))
+            offset = (lengths.cumsum() - lengths).astype(np.int32)  # each word's first sound
+            word = np.arange(len(lengths), dtype=np.int32).repeat(lengths)
+            pos = (np.arange(len(word), dtype=np.int32) - offset[word]).astype(narrow(longest))
+            head = self._stream[offset].astype(narrow(d))[word]
+            # A stable sort by first sound, then position (narrow keys: a
+            # radix sort), so equal keys keep word order.
+            order = np.lexsort((pos, head))
+            word = word[order]
+            at = order + reach * (word + 1)  # where _padded put each sound
+            rows = built[d, r_max] = (
+                stream.astype(narrow(d), copy=False),
+                reach,
+                at.astype(narrow(len(stream))),
+                word.astype(narrow(len(lengths))),
+                pos[order],
+                [0] + np.bincount(head, minlength=d).cumsum().tolist(),
+            )
+        return rows
 
     def starting_with(self, prefix: Sequence[int]) -> list[Word]:
         """The words that start with `prefix`, in list order, duplicates

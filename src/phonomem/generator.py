@@ -24,8 +24,8 @@ from .model import (
     _blocks,
     _check_beta,
     _cross_energies,
-    _log_chain_probabilities,
     _next_cross,
+    _score_rows,
     energy_profile,
     ranked_next_sounds,
     word_energy,
@@ -323,16 +323,32 @@ def predict_completions(
     probability of its continuation, descending; ties order by word. Ranking
     uses log-probabilities, so probabilities that underflow to 0.0 still
     order correctly. All matches are scored together as one array program,
-    each to the value log_chain_probability gives it. The words under the
-    prefix come from the lexicon's index by first sound (`Words`), built on
-    first use. A prefix matching nothing yields an empty list; a prefix
-    symbol index outside 0..d-1 raises ValueError."""
+    each to the value log_chain_probability gives it. The matches' steps
+    past the prefix are one slice of the lexicon's rows (`Words._rows`),
+    built on first use for the model's d and r_max, less the rows of words
+    that share only the prefix's first sound. A prefix matching nothing
+    yields an empty list; a prefix symbol index outside 0..d-1 raises
+    ValueError."""
     _check_beta(beta)
     if lexicon.alphabet.symbols != m.alphabet.symbols:
         raise ValueError("lexicon alphabet does not match the model alphabet")
     p = tuple(prefix)
     _check_indices(p, m.d)
-    matches = lexicon.words.starting_with(p)
-    logps = _log_chain_probabilities(m, matches, len(p), beta).tolist()
-    scored = sorted(zip(matches, logps), key=lambda item: (-item[1], item[0]))
+    words = lexicon.words
+    stream, reach, at, word, pos, bounds = words._rows(m.d, m.r_max)
+    ids = range(len(words))
+    if p:
+        # The first sound's position-0 rows are its words, in list order; the
+        # steps past the prefix start at position len(p).
+        top, end = bounds[p[0]], bounds[p[0] + 1]
+        heads, lo = (pos[top:end].searchsorted([1, len(p)]) + top).tolist()
+        ids, at, word = word[top:heads].tolist(), at[lo:end], word[lo:end]
+        if len(p) > 1:
+            ids = [i for i in ids if words[i][: len(p)] == p]
+            keep = np.zeros(len(words), bool)
+            keep[ids] = True
+            at, word = at[keep[word]], word[keep[word]]
+    totals = _score_rows(m, stream, reach, word, at, len(words), beta)
+    scored = sorted(zip([words[i] for i in ids], totals[ids].tolist()),
+                    key=lambda item: (-item[1], item[0]))
     return [(w, math.exp(logp)) for w, logp in scored]

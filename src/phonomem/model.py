@@ -10,6 +10,7 @@ construction. Lower energy means more probable.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -19,19 +20,40 @@ import numpy as np
 
 from .alphabet import Alphabet, Words, _check_indices
 
-_EVALS = 0
+
+class _WorkRecord:
+    """The work one thread (or one context) has counted. A plain class: a
+    dataclass would cost every import, and so every CLI call, ~0.2 ms."""
+
+    __slots__ = ("evals",)
+
+    def __init__(self) -> None:
+        self.evals = 0
+
+
+# No shared default record: a new thread starts with an empty context, so
+# each thread makes its own on first use and no count leaks between threads.
+_WORK: ContextVar[Optional[_WorkRecord]] = ContextVar("phonomem_work", default=None)
+
+
+def _work() -> _WorkRecord:
+    record = _WORK.get()
+    if record is None:
+        record = _WorkRecord()
+        _WORK.set(record)
+    return record
 
 
 def reset_eval_count() -> None:
-    """Zero the candidate-evaluation counter that _cross_energies adds to
-    (test instrumentation only; not thread-safe)."""
-    global _EVALS
-    _EVALS = 0
+    """Zero this thread's candidate-evaluation counter, which _cross_energies
+    adds to."""
+    _work().evals = 0
 
 
 def eval_count() -> int:
-    """Candidate evaluations since the last reset, all counted in _cross_energies."""
-    return _EVALS
+    """Candidate evaluations this thread has made since its last reset, all
+    counted in _cross_energies."""
+    return _work().evals
 
 
 # A list of only these is copied in one step rather than item by item: model
@@ -166,8 +188,8 @@ def _cross_energies(
     first range's rows and adds the rest in r order; the table holds no
     -0.0, so it equals a sum from 0.0 bit for bit, and a row equals its
     one-row case. Adds d per row to eval_count()."""
-    global _EVALS
-    _EVALS += m.d * math.prod(rows)
+    record = _WORK.get() or _work()
+    record.evals += m.d * math.prod(rows)
     terms = m._terms
     if rows and len(back):
         # Index arrays: take gathers a range's rows about twice as fast as
@@ -292,31 +314,28 @@ def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, i
 
 
 @np.errstate(over="ignore", invalid="ignore")  # one errstate per call
-def _log_chain_probabilities(
-    m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
+def _score_rows(
+    m: InteractionModel, stream: np.ndarray, reach: int, word: np.ndarray, at: np.ndarray,
+    n: int, beta: float,
 ) -> np.ndarray:
-    """Log chain probability of each word's sounds from position `start` on,
-    each given the sounds before it; see log_chain_probability.
+    """Log chain probability totals of n words from their scored word-steps:
+    row i scores the sound at position at[i] of a `_padded` stream as a step
+    of word word[i], given the `reach` stream entries before it. Each word's
+    rows must come in step order; rows of different words may interleave.
 
-    Scored as one row program, as BranchSpace.columns is: every scored
-    word-step is one row of a (word-steps x d) array of candidate cross
-    energies, and each row takes one max-shifted log-softmax. A step's
-    tail is read from the word stream, whose padding stands for the sounds
-    before a word's start; ranges past the stream's reach would only add
-    the table's 0.0 row, so they are left out (the table holds no -0.0, so
-    no bit changes). np.add.at is unbuffered and adds in index order, so
-    each word's terms are summed in place in step order from 0.0, across
-    block edges too, and every total equals the one-word chain bit for
-    bit. A row whose largest scaled energy overflows has no defined
-    log-softmax and raises ValueError. Counts d evaluations per scored
-    word-step toward eval_count()."""
-    stream, lengths, reach = _padded(Words(words), m.d, m.r_max)
-    head = np.minimum(lengths, start)  # each word's unscored sounds
-    word = np.arange(len(words)).repeat(lengths - head)  # each word's steps in order
-    # Each scored sound's stream position: the padding and unscored sounds up
-    # to its word's first scored sound, plus its row.
-    at = (head + reach).cumsum()[word] + np.arange(len(word))
-    totals = np.zeros(len(words))
+    Scored as one row program, as BranchSpace.columns is: every row is one
+    row of a (word-steps x d) array of candidate cross energies, and each
+    row takes one max-shifted log-softmax. A step's tail is read from the
+    stream, whose padding stands for the sounds before a word's start;
+    ranges past the stream's reach would only add the table's 0.0 row, so
+    they are left out, and a wider reach only reads that row more often
+    (the table holds no -0.0, so no bit changes). np.add.at is unbuffered
+    and adds in index order, so each word's terms are summed in place in
+    step order from 0.0, across block edges too, and every total equals
+    the one-word chain bit for bit. A word with no row totals 0.0. A row
+    whose largest scaled energy overflows has no defined log-softmax and
+    raises ValueError. Counts d evaluations per row toward eval_count()."""
+    totals = np.zeros(n)
     back = np.arange(reach + 1)[:, None]  # the sound, then its tail by range
     for rows in _blocks(len(word), m.d):
         w = word[rows]
@@ -332,6 +351,21 @@ def _log_chain_probabilities(
     if math.isnan(np.add.reduce(totals)):
         raise ValueError("energies overflow float64")
     return totals
+
+
+def _log_chain_probabilities(
+    m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
+) -> np.ndarray:
+    """Log chain probability of each word's sounds from position `start` on,
+    each given the sounds before it; see log_chain_probability. The words'
+    scored steps are laid out word by word, in step order, for _score_rows."""
+    stream, lengths, reach = _padded(Words(words), m.d, m.r_max)
+    head = np.minimum(lengths, start)  # each word's unscored sounds
+    word = np.arange(len(words)).repeat(lengths - head)  # each word's steps in order
+    # Each scored sound's stream position: the padding and unscored sounds up
+    # to its word's first scored sound, plus its row.
+    at = (head + reach).cumsum()[word] + np.arange(len(word))
+    return _score_rows(m, stream, reach, word, at, len(words), beta)
 
 
 def log_chain_probability(
