@@ -187,7 +187,7 @@ def tokenize(text: str, alphabet: Alphabet) -> Word:
 
 
 def _check_indices(word: Sequence[int], d: int) -> None:
-    for i in word:
+    for i in map(operator.index, word):
         if not 0 <= i < d:
             raise ValueError(f"symbol index {i} out of range 0..{d - 1}")
 
@@ -203,13 +203,14 @@ class Words(tuple):
     JSON as the plain tuple of its words, and answers "which words start
     with this prefix" from an index by first sound, built on first use. It
     also keeps, per model shape, its sounds as the chain scorer's rows by
-    first sound (`_rows`), for predict_completions."""
+    first sound (`_rows`): the one row layout of predict_completions and
+    log_chain_probability."""
 
     @cached_property
     def _stream(self) -> np.ndarray:
         """The words' indices end to end: the parse's own index array, else
-        built on first use in int32. Exact only for checked integer indices
-        (`Corpus` checks every index): np.fromiter reads 1.5 as 1."""
+        built on first use in int32. Exact only for integer indices, which
+        `Corpus` and `_check_indices` check: np.fromiter reads 1.5 as 1."""
         return np.fromiter(chain.from_iterable(self), dtype=np.int32)
 
     @cached_property
@@ -221,25 +222,23 @@ class Words(tuple):
 
     def _rows(self, d: int, r_max: int) -> tuple:
         """Every sound of the list as one chain-scorer row, for a model of d
-        symbols and range r_max: `model._padded`'s stream, in the narrowest
-        type that holds d, and reach; then each row's stream position, word
-        index and position in its word, ordered by (first sound, position,
-        word); and the row bounds of first sound h, bounds[h] to
-        bounds[h + 1]. So a word's rows come in step order. Built in one
-        array pass on first use for each (d, r_max), in the narrowest index
-        types; racing builds give equal arrays."""
+        symbols and range r_max: `_padded`'s stream, in the narrowest type
+        that holds d, and reach; then each row's stream position, word index
+        and position in its word, ordered by (first sound, position, word);
+        and the row bounds of first sound h, bounds[h] to bounds[h + 1]. So
+        a word's rows come in step order, and an empty word has none. Built
+        in one array pass on first use for each (d, r_max), in the narrowest
+        index types; racing builds give equal arrays."""
         built = self.__dict__.setdefault("_rows_by_shape", {})
         rows = built.get((d, r_max))
         if rows is None:
-            from .model import _padded  # model imports this module
-
             stream, lengths, reach = _padded(self, d, r_max)
             narrow = np.min_scalar_type
             longest = int(lengths.max(initial=0))
             offset = (lengths.cumsum() - lengths).astype(np.int32)  # each word's first sound
             word = np.arange(len(lengths), dtype=np.int32).repeat(lengths)
             pos = (np.arange(len(word), dtype=np.int32) - offset[word]).astype(narrow(longest))
-            head = self._stream[offset].astype(narrow(d))[word]
+            head = self._stream[offset[word]].astype(narrow(d))
             # A stable sort by first sound, then position (narrow keys: a
             # radix sort), so equal keys keep word order.
             order = np.lexsort((pos, head))
@@ -262,6 +261,27 @@ class Words(tuple):
         if not p:
             return list(self)
         return [w for w in self._by_head.get(p[:1], ()) if w[: len(p)] == p]
+
+
+def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The words' index stream (`Words._stream`), each word preceded by
+    reach = min(r_max, longest word - 1) entries of index d, the model
+    table's "no sound" row: no pair or tail within reach crosses a word edge,
+    and a range past reach couples no two sounds of any word. Returns it, the
+    word lengths and reach, for count_pairs and `Words._rows`. Memory is
+    linear in the number of sounds: positions are scattered in int32, and the
+    stream keeps the words' type, widened only when it cannot hold d."""
+    flat = words._stream
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    reach = max(0, min(r_max, int(np.maximum.reduce(lengths, initial=0)) - 1))
+    # Each sound's stream position: its place in the joined words plus the
+    # padding up to its own word's.
+    at = (reach * np.arange(1, len(words) + 1, dtype=np.int32)).repeat(lengths)
+    dtype = np.promote_types(flat.dtype, np.min_scalar_type(d))
+    stream = np.full(len(flat) + reach * len(words), d, dtype=dtype)
+    at += np.arange(len(flat), dtype=np.int32)
+    stream[at] = flat
+    return stream, lengths, reach
 
 
 @dataclass(frozen=True)

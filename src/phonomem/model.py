@@ -280,8 +280,8 @@ def next_sound_distribution(
 
 # Entries in one stacked (rows x d) array of the column and chain scorers,
 # whose rows are parent nodes and word-steps: 2 MiB of float64. The chain
-# scorer reads its word-steps from one padded index stream (_padded), so the
-# rest of its memory is linear in the number of sounds.
+# scorer reads its word-steps from a word list's kept rows (`Words._rows`),
+# so the rest of its memory is linear in the number of sounds.
 _BLOCK = 1 << 18
 
 
@@ -290,27 +290,6 @@ def _blocks(rows: int, width: int) -> list[slice]:
     or fewer, so a block's (rows x width) array stays near _BLOCK entries."""
     step = max(1, _BLOCK // width)
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
-def _padded(words: Words, d: int, r_max: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The words' index stream (`Words._stream`), each word preceded by
-    reach = min(r_max, longest word - 1) entries of index d, the table's
-    "no sound" row: no pair or tail within reach crosses a word edge, and a
-    range past reach couples no two sounds of any word. Returns it, the word
-    lengths and reach, for count_pairs and the chain scorer. Memory is linear
-    in the number of sounds: positions are scattered in int32, and the stream
-    keeps the words' type, widened only when it cannot hold d."""
-    flat = words._stream
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    reach = max(0, min(r_max, int(np.maximum.reduce(lengths, initial=0)) - 1))
-    # Each sound's stream position: its place in the joined words plus the
-    # padding up to its own word's.
-    at = (reach * np.arange(1, len(words) + 1, dtype=np.int32)).repeat(lengths)
-    dtype = np.promote_types(flat.dtype, np.min_scalar_type(d))
-    stream = np.full(len(flat) + reach * len(words), d, dtype=dtype)
-    at += np.arange(len(flat), dtype=np.int32)
-    stream[at] = flat
-    return stream, lengths, reach
 
 
 @np.errstate(over="ignore", invalid="ignore")  # one errstate per call
@@ -357,15 +336,13 @@ def _log_chain_probabilities(
     m: InteractionModel, words: Sequence[Sequence[int]], start: int, beta: float
 ) -> np.ndarray:
     """Log chain probability of each word's sounds from position `start` on,
-    each given the sounds before it; see log_chain_probability. The words'
-    scored steps are laid out word by word, in step order, for _score_rows."""
-    stream, lengths, reach = _padded(Words(words), m.d, m.r_max)
-    head = np.minimum(lengths, start)  # each word's unscored sounds
-    word = np.arange(len(words)).repeat(lengths - head)  # each word's steps in order
-    # Each scored sound's stream position: the padding and unscored sounds up
-    # to its word's first scored sound, plus its row.
-    at = (head + reach).cumsum()[word] + np.arange(len(word))
-    return _score_rows(m, stream, reach, word, at, len(words), beta)
+    each given the sounds before it; see log_chain_probability. The scored
+    steps are the words' rows (`Words._rows`) from position `start` on, so a
+    `Words` lays its rows out once per model shape and keeps them."""
+    words = words if isinstance(words, Words) else Words(words)
+    stream, reach, at, word, pos, _ = words._rows(m.d, m.r_max)
+    scored = pos >= start
+    return _score_rows(m, stream, reach, word[scored], at[scored], len(words), beta)
 
 
 def log_chain_probability(

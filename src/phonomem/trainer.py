@@ -34,9 +34,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .alphabet import Corpus, surface_digest
+from .alphabet import Corpus, _padded, surface_digest
 from .errors import CorpusError
-from .model import InteractionModel, _padded, mean_interaction
+from .model import InteractionModel, mean_interaction
 
 NORMALIZE_MODES = ("none", "per-range-sum")
 
@@ -79,7 +79,7 @@ def count_pairs(corpus: Corpus, r_max: int) -> PairCounts:
     equals sum over words of max(0, N - r).
 
     The words' index stream (the parse's own, else built once) is padded
-    by model._padded, so no pair within r_max crosses a word edge. At range
+    by alphabet._padded, so no pair within r_max crosses a word edge. At range
     r, position i pairs with i + r: one intp bincount of s*(d+1) + s' over
     (d+1)^2 bins, whose d x d block holds the pairs of real sounds. Ranges
     past every word stay zero."""

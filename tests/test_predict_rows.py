@@ -1,6 +1,7 @@
-"""The scored rows a lexicon keeps for predict_completions (`Words._rows`):
-every result equals the per-word log_chain_probability bit for bit, counts
-d per scored step cold or warm, and the rows stay out of the list's value."""
+"""The scored rows a word list keeps for predict_completions and the chain
+scorer (`Words._rows`): every result equals the per-word
+log_chain_probability bit for bit, counts d per scored step cold or warm,
+and the rows stay out of the list's value."""
 
 import json
 import math
@@ -13,7 +14,13 @@ import pytest
 from phonomem import TrainConfig, parse_corpus, predict_completions, train
 from phonomem import model as model_module
 from phonomem.alphabet import Alphabet, Corpus, Words
-from phonomem.model import _blocks, eval_count, log_chain_probability, reset_eval_count
+from phonomem.model import (
+    _blocks,
+    _log_chain_probabilities,
+    eval_count,
+    log_chain_probability,
+    reset_eval_count,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import synth_words  # noqa: E402
@@ -161,3 +168,37 @@ def test_a_parsed_lexicon_reuses_its_stream(latin, latin_model):
     padded = lexicon.words._rows(latin_model.d, latin_model.r_max)[0]
     assert padded.dtype == stream.dtype and len(padded) > len(stream)
     assert padded[padded != latin_model.d].tolist() == stream.tolist()
+
+
+def test_the_chain_scorer_reads_the_kept_rows(latin, latin_model):
+    m = latin_model
+    lexicon = Corpus(latin.alphabet, tuple(latin.words))
+    words = lexicon.words
+    steps = m.d * sum(len(w) - 1 for w in words)
+    reset_eval_count()
+    first = _log_chain_probabilities(m, words, 1, 1.0)
+    assert eval_count() == steps
+    built = vars(words)["_rows_by_shape"]
+    assert list(built) == [(m.d, m.r_max)]
+    rows = built[m.d, m.r_max]
+    # predict_completions and a second call at another beta build nothing new.
+    predict_completions(m, (), lexicon)
+    reset_eval_count()
+    second = _log_chain_probabilities(m, words, 1, 7.0)
+    assert eval_count() == steps
+    assert list(built) == [(m.d, m.r_max)] and built[m.d, m.r_max] is rows
+    assert [v.hex() for v in second.tolist()] != [v.hex() for v in first.tolist()]
+    # A plain list lays its own rows out and totals the same bits.
+    plain = _log_chain_probabilities(m, list(latin.words), 1, 1.0)
+    assert [v.hex() for v in plain.tolist()] == [v.hex() for v in first.tolist()]
+
+
+def test_a_start_past_the_position_type_scores_nothing(latin, latin_model):
+    # Latin positions are uint8: a start of 300 lies past what they hold, and
+    # the compare must still find no row at or past it.
+    words = latin.words
+    assert words._rows(latin_model.d, latin_model.r_max)[4].dtype == "uint8"
+    reset_eval_count()
+    got = _log_chain_probabilities(latin_model, words, 300, 1.0)
+    assert eval_count() == 0
+    assert [v.hex() for v in got.tolist()] == [(0.0).hex()] * len(words)
